@@ -5,32 +5,28 @@ All baselines run on the same simulated cluster and return the same
 comparison in the benchmark harness is apples to apples.
 """
 
-from .agsparse import AGsparseAllReduce, agsparse_allreduce
+from .agsparse import AGsparseAllReduce
 from .api import (
-    AGsparseGlooOptions,
     AGsparseOptions,
     Collective,
-    HalvingDoublingOptions,
     OmniReduceOptions,
     Options,
     ParallaxOptions,
     PSOptions,
-    PSSparseOptions,
+    RackHierarchicalOptions,
     RingOptions,
     Session,
-    SparCMLDSAROptions,
     SparCMLOptions,
-    SparCMLSSAROptions,
     SwitchMLOptions,
 )
 from .collectives import ring_allgather, tree_broadcast
-from .halving_doubling import HalvingDoublingAllReduce, halving_doubling_allreduce
-from .parallax import ParallaxAllReduce, ParallaxRuntime, parallax_allreduce
-from .ps import ParameterServerAllReduce, ps_allreduce
-from .registry import ALGORITHMS, get, prepare, run_allreduce
-from .ring import RingAllReduce, ring_allreduce
-from .sparcml import SparCML, sparcml_allreduce
-from .switchml import SwitchMLAllReduce, switchml_allreduce
+from .halving_doubling import HalvingDoublingAllReduce
+from .parallax import ParallaxAllReduce, ParallaxRuntime
+from .ps import ParameterServerAllReduce
+from .registry import ALGORITHMS, get, prepare
+from .ring import RingAllReduce
+from .sparcml import SparCML
+from .switchml import SwitchMLAllReduce
 
 __all__ = [
     "Collective",
@@ -38,35 +34,23 @@ __all__ = [
     "Options",
     "OmniReduceOptions",
     "RingOptions",
-    "HalvingDoublingOptions",
     "AGsparseOptions",
-    "AGsparseGlooOptions",
     "SparCMLOptions",
-    "SparCMLSSAROptions",
-    "SparCMLDSAROptions",
     "PSOptions",
-    "PSSparseOptions",
     "ParallaxOptions",
     "SwitchMLOptions",
+    "RackHierarchicalOptions",
     "get",
     "prepare",
     "RingAllReduce",
-    "ring_allreduce",
     "AGsparseAllReduce",
-    "agsparse_allreduce",
     "SparCML",
-    "sparcml_allreduce",
     "ParameterServerAllReduce",
-    "ps_allreduce",
     "ParallaxAllReduce",
     "ParallaxRuntime",
-    "parallax_allreduce",
     "SwitchMLAllReduce",
-    "switchml_allreduce",
     "ALGORITHMS",
-    "run_allreduce",
     "ring_allgather",
     "tree_broadcast",
     "HalvingDoublingAllReduce",
-    "halving_doubling_allreduce",
 ]

@@ -37,7 +37,6 @@ from .common import (
 
 __all__ = [
     "AGsparseAllReduce",
-    "agsparse_allreduce",
     "BACKEND_OVERHEADS",
     "INDEX_ENCODINGS",
 ]
@@ -186,10 +185,3 @@ class AGsparseAllReduce:
             )
 
         return PendingCollective(sim, waits, finalize, name=prefix)
-
-
-def agsparse_allreduce(
-    cluster: Cluster, tensors: Sequence[np.ndarray], backend: str = "nccl", **kwargs
-) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return AGsparseAllReduce(cluster, backend=backend, **kwargs).allreduce(tensors)

@@ -15,17 +15,13 @@ uniform :class:`~repro.core.collective.CollectiveResult`.  Algorithms
 without a native AllGather/Broadcast fall back to the dense ring
 AllGather and binomial-tree Broadcast baselines, so every session
 supports all three collectives.
-
-The legacy ``run_allreduce(name, cluster, tensors, **opts)`` entry point
-lives on in :mod:`repro.baselines.registry` as a deprecation shim built
-on this API.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Type
 
 import numpy as np
 
@@ -64,14 +60,9 @@ __all__ = [
     "Collective",
     "OmniReduceOptions",
     "RingOptions",
-    "HalvingDoublingOptions",
     "AGsparseOptions",
-    "AGsparseGlooOptions",
     "SparCMLOptions",
-    "SparCMLSSAROptions",
-    "SparCMLDSAROptions",
     "PSOptions",
-    "PSSparseOptions",
     "ParallaxOptions",
     "SwitchMLOptions",
     "RackHierarchicalOptions",
@@ -113,8 +104,8 @@ class Options:
     either way.
 
     :meth:`from_kwargs` is *the* coercion entry point: everything that
-    accepts loosely-typed options (``prepare``, the legacy
-    ``run_allreduce`` shim, bench helpers) funnels through it.
+    accepts loosely-typed options (``prepare``, bench helpers) funnels
+    through it.
     """
 
     telemetry: Optional[object] = None
@@ -134,8 +125,8 @@ class Options:
         * ``from_kwargs(field=value, ...)`` -- typed construction, with
           unknown fields failing loudly.
 
-        Subclasses may extend it to accept (and deprecate) historical
-        spellings -- see :meth:`OmniReduceOptions.from_kwargs`.
+        Subclasses may extend it with further spellings -- see
+        :meth:`OmniReduceOptions.from_kwargs`.
         """
         if options is not None:
             if kwargs:
@@ -158,21 +149,8 @@ class OmniReduceOptions(Options):
 
     @classmethod
     def from_kwargs(cls, options=None, /, **kwargs) -> "OmniReduceOptions":
-        """:meth:`Options.from_kwargs` plus OmniReduce's historical
-        spellings: a bare :class:`OmniReduceConfig` (deprecated) and raw
-        config fields (``block_size=64``, ...) alongside ``config=``."""
-        if isinstance(options, OmniReduceConfig):
-            warnings.warn(
-                "passing a bare OmniReduceConfig is deprecated; use "
-                "OmniReduceOptions(config=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if kwargs:
-                raise TypeError(
-                    "pass either an options instance or keyword fields, not both"
-                )
-            return cls(config=options)
+        """:meth:`Options.from_kwargs` plus raw config fields
+        (``block_size=64``, ...) as an alternative to ``config=``."""
         if options is not None:
             return super().from_kwargs(options, **kwargs)
         telemetry = kwargs.pop("telemetry", None)
@@ -207,21 +185,11 @@ class RingOptions(Options):
 
 
 @dataclass(frozen=True)
-class HalvingDoublingOptions(Options):
-    pass
-
-
-@dataclass(frozen=True)
 class AGsparseOptions(Options):
     backend: str = "nccl"
     include_conversion: bool = True
     conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL
     index_encoding: str = "coo"
-
-
-@dataclass(frozen=True)
-class AGsparseGlooOptions(AGsparseOptions):
-    backend: str = "gloo"
 
 
 @dataclass(frozen=True)
@@ -232,25 +200,10 @@ class SparCMLOptions(Options):
 
 
 @dataclass(frozen=True)
-class SparCMLSSAROptions(SparCMLOptions):
-    mode: str = "ssar"
-
-
-@dataclass(frozen=True)
-class SparCMLDSAROptions(SparCMLOptions):
-    mode: str = "dsar"
-
-
-@dataclass(frozen=True)
 class PSOptions(Options):
     sparse: bool = False
     include_conversion: bool = True
     conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL
-
-
-@dataclass(frozen=True)
-class PSSparseOptions(PSOptions):
-    sparse: bool = True
 
 
 @dataclass(frozen=True)
@@ -588,30 +541,25 @@ class Collective:
     name: str = ""
     options_cls: Type[Options] = Options
     summary: str = ""
+    #: Option fields this registry name pins (``sparcml-ssar`` is
+    #: ``sparcml`` with ``mode="ssar"``): applied over whatever options
+    #: the caller hands in, so a variant name always runs its variant.
+    preset: Dict[str, object] = {}
 
     def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
         raise NotImplementedError
 
     def default_options(self) -> Options:
-        return self.options_cls()
-
-    def options_from_kwargs(self, **kwargs) -> Options:
-        """Deprecated: use ``self.options_cls.from_kwargs(**kwargs)``."""
-        warnings.warn(
-            "Collective.options_from_kwargs() is deprecated; use "
-            f"{self.options_cls.__name__}.from_kwargs() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.options_cls.from_kwargs(**kwargs)
+        return self._coerce(None)
 
     def _coerce(self, options: Optional[Options]) -> Options:
-        if options is None:
-            return self.default_options()
+        """``options`` as this collective's typed options, with the
+        registry entry's ``preset`` fields pinned on top."""
         try:
-            return self.options_cls.from_kwargs(options)
+            opts = self.options_cls.from_kwargs(options)
         except TypeError as exc:
             raise TypeError(f"{self.name!r}: {exc}") from None
+        return dataclasses.replace(opts, **self.preset) if self.preset else opts
 
     def __repr__(self) -> str:
         return f"<Collective {self.name!r} ({self.options_cls.__name__})>"
@@ -620,29 +568,35 @@ class Collective:
 class _FactoryCollective(Collective):
     """Collective whose engine is built by ``factory(cluster, options)``."""
 
-    def __init__(self, name, options_cls, factory, summary="") -> None:
+    def __init__(self, name, options_cls, factory, summary="", preset=None) -> None:
         self.name = name
         self.options_cls = options_cls
         self._factory = factory
         self.summary = summary
+        self.preset = preset or {}
 
     def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
         opts = self._coerce(options)
         cluster = _sim_cluster(cluster, opts)
+        engine = self._factory(cluster, opts)
         return _EngineSession(
-            cluster, opts, self._factory(cluster, opts), algorithm=self.name
+            cluster,
+            opts,
+            engine,
+            algorithm=self.name,
+            features=getattr(engine, "features", None),
         )
 
 
-class OmniReduceCollective(Collective):
-    """OmniReduce behind the unified protocol.
+def _engine_config(opts: Options) -> Optional[OmniReduceConfig]:
+    """``opts.config`` with ``opts.features`` (when given) folded in."""
+    if opts.features is None:
+        return opts.config
+    return (opts.config or OmniReduceConfig()).with_(features=opts.features)
 
-    Historical spellings (a bare :class:`OmniReduceConfig` passed to
-    ``prepare``, raw config field keywords) are accepted -- with
-    deprecation warnings where applicable -- by
-    :meth:`OmniReduceOptions.from_kwargs`, which ``_coerce`` funnels
-    everything through.
-    """
+
+class OmniReduceCollective(Collective):
+    """OmniReduce behind the unified protocol."""
 
     name = "omnireduce"
     options_cls = OmniReduceOptions
@@ -650,20 +604,15 @@ class OmniReduceCollective(Collective):
 
     def prepare(self, cluster: Cluster, options=None) -> Session:
         opts = self._coerce(options)
-        config = opts.config
-        if opts.features is not None:
-            config = (config or OmniReduceConfig()).with_(features=opts.features)
         target = _sim_cluster(cluster, opts)
-        if target is cluster:
-            engine = OmniReduce(cluster, config)
-        else:
-            engine = FlowOmniReduce(target, config)
+        engine_cls = OmniReduce if target is cluster else FlowOmniReduce
+        engine = engine_cls(target, _engine_config(opts))
         return OmniReduceSession(
             target,
             opts,
             engine,
             algorithm=self.name,
-            features=engine.config.resolved_features(),
+            features=engine.config.features,
         )
 
 
@@ -702,8 +651,41 @@ class RackHierarchicalCollective(Collective):
         )
 
 
-def _factories():
-    """The registry's algorithm table (name -> Collective)."""
+def _agsparse(c: Cluster, o: AGsparseOptions) -> AGsparseAllReduce:
+    return AGsparseAllReduce(
+        c,
+        backend=o.backend,
+        include_conversion=o.include_conversion,
+        conversion_model=o.conversion_model,
+        index_encoding=o.index_encoding,
+    )
+
+
+def _sparcml(c: Cluster, o: SparCMLOptions) -> SparCML:
+    return SparCML(
+        c,
+        mode=o.mode,
+        include_conversion=o.include_conversion,
+        conversion_model=o.conversion_model,
+    )
+
+
+def _ps(c: Cluster, o: PSOptions) -> ParameterServerAllReduce:
+    return ParameterServerAllReduce(
+        c,
+        sparse=o.sparse,
+        include_conversion=o.include_conversion,
+        conversion_model=o.conversion_model,
+    )
+
+
+def _factories() -> Dict[str, Collective]:
+    """The registry's algorithm table (name -> Collective).
+
+    Variant names (``agsparse-gloo``, ``sparcml-ssar``, ``sparcml-dsar``,
+    ``ps-sparse``) share their family's Options class and factory and
+    differ only in the ``preset`` they pin.
+    """
     return {
         "omnireduce": OmniReduceCollective(),
         "rackhier": RackHierarchicalCollective(),
@@ -715,88 +697,55 @@ def _factories():
         ),
         "halving-doubling": _FactoryCollective(
             "halving-doubling",
-            HalvingDoublingOptions,
+            Options,
             lambda c, o: HalvingDoublingAllReduce(c),
             "MPI/NCCL latency-optimal recursive halving-doubling",
         ),
         "agsparse": _FactoryCollective(
             "agsparse",
             AGsparseOptions,
-            lambda c, o: AGsparseAllReduce(
-                c,
-                backend=o.backend,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-                index_encoding=o.index_encoding,
-            ),
+            _agsparse,
             "AllGather-based sparse AllReduce (NCCL flavour)",
         ),
         "agsparse-gloo": _FactoryCollective(
             "agsparse-gloo",
-            AGsparseGlooOptions,
-            lambda c, o: AGsparseAllReduce(
-                c,
-                backend=o.backend,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-                index_encoding=o.index_encoding,
-            ),
+            AGsparseOptions,
+            _agsparse,
             "AGsparse over the Gloo backend",
+            preset={"backend": "gloo"},
         ),
         "sparcml": _FactoryCollective(
             "sparcml",
             SparCMLOptions,
-            lambda c, o: SparCML(
-                c,
-                mode=o.mode,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-            ),
+            _sparcml,
             "SparCML sparse AllReduce (auto mode)",
         ),
         "sparcml-ssar": _FactoryCollective(
             "sparcml-ssar",
-            SparCMLSSAROptions,
-            lambda c, o: SparCML(
-                c,
-                mode=o.mode,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-            ),
+            SparCMLOptions,
+            _sparcml,
             "SparCML static split AllGather",
+            preset={"mode": "ssar"},
         ),
         "sparcml-dsar": _FactoryCollective(
             "sparcml-dsar",
-            SparCMLDSAROptions,
-            lambda c, o: SparCML(
-                c,
-                mode=o.mode,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-            ),
+            SparCMLOptions,
+            _sparcml,
             "SparCML dynamic split AllGather",
+            preset={"mode": "dsar"},
         ),
         "ps": _FactoryCollective(
             "ps",
             PSOptions,
-            lambda c, o: ParameterServerAllReduce(
-                c,
-                sparse=o.sparse,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-            ),
+            _ps,
             "BytePS-style dense push-pull parameter server",
         ),
         "ps-sparse": _FactoryCollective(
             "ps-sparse",
-            PSSparseOptions,
-            lambda c, o: ParameterServerAllReduce(
-                c,
-                sparse=o.sparse,
-                include_conversion=o.include_conversion,
-                conversion_model=o.conversion_model,
-            ),
+            PSOptions,
+            _ps,
             "sparse push-pull parameter server",
+            preset={"sparse": True},
         ),
         "parallax": _FactoryCollective(
             "parallax",
@@ -807,7 +756,7 @@ def _factories():
         "switchml": _FactoryCollective(
             "switchml",
             SwitchMLOptions,
-            lambda c, o: SwitchMLAllReduce(c, config=o.config),
+            lambda c, o: SwitchMLAllReduce(c, config=_engine_config(o)),
             "SwitchML*-style dense streaming aggregation",
         ),
     }

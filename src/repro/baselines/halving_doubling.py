@@ -23,7 +23,7 @@ from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
 from .common import MeasuredRun, SegmentedChannel, fresh_prefix, validate_equal_tensors
 
-__all__ = ["HalvingDoublingAllReduce", "halving_doubling_allreduce"]
+__all__ = ["HalvingDoublingAllReduce"]
 
 SEGMENT_BYTES = 65536
 
@@ -137,10 +137,3 @@ class HalvingDoublingAllReduce:
         return PendingCollective(
             sim, waits, lambda: run.finish(outputs, rounds=2 * steps), name=prefix
         )
-
-
-def halving_doubling_allreduce(
-    cluster: Cluster, tensors: Sequence[np.ndarray], **kwargs
-) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return HalvingDoublingAllReduce(cluster).allreduce(tensors)

@@ -29,7 +29,7 @@ from ..netsim.cluster import Cluster
 from .ps import ParameterServerAllReduce
 from .ring import RingAllReduce
 
-__all__ = ["ParallaxAllReduce", "ParallaxRuntime", "parallax_allreduce"]
+__all__ = ["ParallaxAllReduce", "ParallaxRuntime"]
 
 
 class ParallaxAllReduce:
@@ -136,10 +136,3 @@ class ParallaxRuntime:
         result.details["parallax_phase"] = "committed"
         result.details["parallax_choice"] = self._choice
         return result
-
-
-def parallax_allreduce(
-    cluster: Cluster, tensors: Sequence[np.ndarray], **kwargs
-) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return ParallaxAllReduce(cluster, **kwargs).allreduce(tensors)

@@ -36,7 +36,7 @@ from .common import (
     validate_equal_tensors,
 )
 
-__all__ = ["ParameterServerAllReduce", "ps_allreduce"]
+__all__ = ["ParameterServerAllReduce"]
 
 SEGMENT_BYTES = 65536
 
@@ -186,10 +186,3 @@ class ParameterServerAllReduce:
             ),
             name=prefix,
         )
-
-
-def ps_allreduce(
-    cluster: Cluster, tensors: Sequence[np.ndarray], sparse: bool = False, **kwargs
-) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return ParameterServerAllReduce(cluster, sparse=sparse, **kwargs).allreduce(tensors)

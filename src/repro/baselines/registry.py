@@ -5,23 +5,16 @@ objects; the benchmark harness iterates them by name:
 
     session = prepare("sparcml", cluster, SparCMLOptions(mode="dsar"))
     result = session.allreduce(tensors)
-
-``run_allreduce`` is the legacy one-shot entry point, kept as a thin
-deprecation shim over the Collective protocol.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-import numpy as np
-
-from ..core.collective import CollectiveResult
 from ..netsim.cluster import Cluster
 from .api import Collective, Options, Session, _factories
 
-__all__ = ["ALGORITHMS", "get", "prepare", "run_allreduce"]
+__all__ = ["ALGORITHMS", "get", "prepare"]
 
 #: Every algorithm in the repository, by registry name.
 ALGORITHMS: Dict[str, Collective] = _factories()
@@ -42,24 +35,3 @@ def prepare(
     """Bind the named algorithm to ``cluster`` and return its session."""
     return get(name).prepare(cluster, options)
 
-
-def run_allreduce(
-    name: str, cluster: Cluster, tensors: Sequence[np.ndarray], **options
-) -> CollectiveResult:
-    """Run the named AllReduce algorithm.
-
-    .. deprecated::
-        Use ``prepare(name, cluster, options).allreduce(tensors)`` (or
-        ``ALGORITHMS[name].prepare(...)``) instead; the typed Options
-        dataclasses catch option typos that ``**options`` silently
-        accepted.  This shim produces identical results.
-    """
-    warnings.warn(
-        "run_allreduce() is deprecated; use "
-        "repro.baselines.prepare(name, cluster, options).allreduce(tensors)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    collective = get(name)
-    opts = collective.options_cls.from_kwargs(**options)
-    return collective.prepare(cluster, opts).allreduce(tensors)

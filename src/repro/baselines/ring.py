@@ -27,7 +27,7 @@ from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
 from .common import MeasuredRun
 
-__all__ = ["RingAllReduce", "ring_allreduce"]
+__all__ = ["RingAllReduce"]
 
 _op_ids = itertools.count()
 
@@ -167,8 +167,3 @@ class RingAllReduce:
             lambda: run.finish(outputs, rounds=2 * (workers - 1)),
             name=prefix,
         )
-
-
-def ring_allreduce(cluster: Cluster, tensors: Sequence[np.ndarray]) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return RingAllReduce(cluster).allreduce(tensors)

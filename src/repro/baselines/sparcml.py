@@ -40,7 +40,7 @@ from .common import (
     validate_equal_tensors,
 )
 
-__all__ = ["SparCML", "sparcml_allreduce", "SPARCML_MODES"]
+__all__ = ["SparCML", "SPARCML_MODES"]
 
 SPARCML_MODES = ("ssar", "dsar", "rd", "auto")
 SEGMENT_BYTES = 65536
@@ -286,10 +286,3 @@ class SparCML:
             ),
             name=prefix,
         )
-
-
-def sparcml_allreduce(
-    cluster: Cluster, tensors: Sequence[np.ndarray], mode: str = "auto", **kwargs
-) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return SparCML(cluster, mode=mode, **kwargs).allreduce(tensors)

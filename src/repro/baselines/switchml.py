@@ -5,9 +5,10 @@ slot pipeline but has no notion of sparsity: every block is transmitted.
 The paper evaluates a server-based variant (SwitchML*) to isolate the
 contribution of streaming aggregation from that of zero-block skipping.
 
-Here SwitchML* is precisely OmniReduce with ``skip_zero_blocks=False``
--- the same protocol engine streaming the dense tensor -- which makes
-the ablation exact by construction.
+Here SwitchML* is precisely OmniReduce with the
+``zero_block_suppression`` feature off -- the same protocol engine
+streaming the dense tensor -- which makes the ablation exact by
+construction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..core.flowreduce import FlowOmniReduce
 from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
 
-__all__ = ["SwitchMLAllReduce", "switchml_allreduce"]
+__all__ = ["SwitchMLAllReduce"]
 
 
 class SwitchMLAllReduce:
@@ -37,10 +38,15 @@ class SwitchMLAllReduce:
         )
         self._omni = engine_cls(
             cluster,
-            base.with_(skip_zero_blocks=False, charge_bitmap=False),
+            base.with_(
+                features=base.features.with_(zero_block_suppression=False),
+                charge_bitmap=False,
+            ),
         )
         # The shared engine records runs under this baseline's name.
         self._omni.telemetry_label = "switchml"
+        #: The feature set the engine actually runs (what sessions stamp).
+        self.features = self._omni.config.features
 
     @staticmethod
     def _stamp(result: CollectiveResult) -> CollectiveResult:
@@ -54,10 +60,3 @@ class SwitchMLAllReduce:
         """Cooperative variant; skips the engine's telemetry frame (the
         caller owns recording for in-flight operations)."""
         return self._omni.begin_allreduce(tensors).map(self._stamp)
-
-
-def switchml_allreduce(
-    cluster: Cluster, tensors: Sequence[np.ndarray], **kwargs
-) -> CollectiveResult:
-    """Convenience wrapper matching the baseline registry signature."""
-    return SwitchMLAllReduce(cluster, **kwargs).allreduce(tensors)

@@ -14,7 +14,7 @@ features are performance-only by contract.
 
 The notes carry the cross-cell importance ranking (mean fractional
 slowdown when disabled) plus the reason for any skipped row (a feature
-inactive in the cell's baseline, or flow-only under a fault plan).
+inactive in the cell's baseline).
 
 Environment knobs:
 
@@ -65,21 +65,19 @@ def ablation() -> ExperimentResult:
     )
 
     for cell_report in report.cells:
-        for baseline in (cell_report.baseline, cell_report.flow_baseline):
-            if baseline is None:
-                continue
-            result.add_row(
-                run_id=baseline.run_id,
-                feature="(baseline)",
-                time_ms=baseline.metrics["time_s"] * 1e3,
-                dtime="-",
-                goodput_gbps=baseline.metrics["goodput_gbps"],
-                dgoodput="-",
-                dbytes="-",
-                dpackets="-",
-                retrans=_count(baseline.metrics["retransmissions"]),
-                correct="yes" if baseline.correct else "NO",
-            )
+        baseline = cell_report.baseline
+        result.add_row(
+            run_id=baseline.run_id,
+            feature="(baseline)",
+            time_ms=baseline.metrics["time_s"] * 1e3,
+            dtime="-",
+            goodput_gbps=baseline.metrics["goodput_gbps"],
+            dgoodput="-",
+            dbytes="-",
+            dpackets="-",
+            retrans=_count(baseline.metrics["retransmissions"]),
+            correct="yes" if baseline.correct else "NO",
+        )
         for delta in cell_report.deltas:
             if not delta.measured:
                 result.add_row(

@@ -262,8 +262,9 @@ class NoZeroBlockMonitor(InvariantMonitor):
     -- adding zero is free -- which is exactly why it needs a monitor:
     nothing else would notice the protocol silently wasting the
     bandwidth its existence is justified by.  Attach only to runs whose
-    configuration promises zero-block skipping (``skip_zero_blocks``);
-    the SwitchML* ablation legitimately streams everything.
+    configuration promises zero-block skipping (the
+    ``zero_block_suppression`` feature); the SwitchML* ablation
+    legitimately streams everything.
     """
 
     name = "no-zero-block"
@@ -368,14 +369,14 @@ class RetransmitBackoffMonitor(InvariantMonitor):
 
 def default_monitors(
     algorithm: str = "",
-    skip_zero_blocks: bool = False,
+    zero_block_suppression: bool = False,
     backoff: Optional[Tuple[float, float, Optional[float]]] = None,
 ) -> List[InvariantMonitor]:
     """The standard monitor set for one conformance run.
 
     Clock, conservation and delivery monitors always apply; the
     OmniReduce-specific monitors join when the run's configuration
-    promises their invariants (``skip_zero_blocks``; ``backoff`` as
+    promises their invariants (``zero_block_suppression``; ``backoff`` as
     ``(timeout_s, backoff_factor, timeout_max_s)`` for lossy runs).
     """
     monitors: List[InvariantMonitor] = [
@@ -383,7 +384,7 @@ def default_monitors(
         PacketConservationMonitor(),
         AtMostOnceDeliveryMonitor(),
     ]
-    if skip_zero_blocks and algorithm.startswith("omnireduce"):
+    if zero_block_suppression and algorithm.startswith("omnireduce"):
         monitors.append(NoZeroBlockMonitor())
     if backoff is not None:
         monitors.append(RetransmitBackoffMonitor(*backoff))

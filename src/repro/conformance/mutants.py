@@ -124,7 +124,11 @@ class ZeroBlockSpamCollective(Collective):
             options = OmniReduceOptions()
         if isinstance(options, OmniReduceOptions):
             config = options.config or OmniReduceConfig()
-            options = OmniReduceOptions(config=config.with_(skip_zero_blocks=False))
+            options = OmniReduceOptions(
+                config=config.with_(
+                    features=config.features.with_(zero_block_suppression=False)
+                )
+            )
         return self.inner.prepare(cluster, options)
 
 

@@ -275,16 +275,16 @@ class ConformanceCase:
             and self.transport == "dpdk"
         ):
             backoff = (FAULT_TIMEOUT_S, FAULT_BACKOFF_FACTOR, FAULT_TIMEOUT_MAX_S)
-        # skip_zero_blocks is the *promise* the case makes (OmniReduce
-        # conformance promises it unless the case explicitly ablates the
-        # feature); a mutant that secretly breaks the promise must still
-        # face the monitor.
+        # zero_block_suppression is the *promise* the case makes
+        # (OmniReduce conformance promises it unless the case explicitly
+        # ablates the feature); a mutant that secretly breaks the promise
+        # must still face the monitor.
         suppresses = (
             self.features is None or self.features.zero_block_suppression
         )
         return default_monitors(
             algorithm=self.algorithm,
-            skip_zero_blocks=suppresses,
+            zero_block_suppression=suppresses,
             backoff=backoff,
         )
 

@@ -26,7 +26,7 @@ from ..netsim.transport import DatagramTransport
 from ..telemetry.collect import TrafficSnapshot
 from ..telemetry.spans import NULL_RECORDER
 from ..tensors.bitmap import V100_BITMAP_MODEL, BitmapCostModel
-from ..tensors.blocks import BlockView
+from ..tensors.blocks import BlockView, num_blocks
 from .aggregator import RecoverySlotAggregator, SlotAggregator
 from .config import MAX_STREAMS, OmniReduceConfig
 from .partition import FusionLayout, fusion_width, plan_streams
@@ -301,6 +301,76 @@ class OmniReduce:
             return limit
         return min(DEFAULT_MESSAGE_BYTES, limit)
 
+    def _plan_run(
+        self,
+        cluster: Cluster,
+        total_elements: int,
+        worker_start_delays: Optional[Sequence[float]],
+    ):
+        """Derive one run's set-up from the config, features and cluster.
+
+        The single owner of everything both flat engines (this one and
+        :class:`~repro.core.flowreduce.FlowOmniReduce`) must agree on
+        before any protocol work starts: the operation prefix and start
+        time, the bitmap charge, per-worker start delays with injected
+        straggler delay folded in, the host-to-NIC prefetch schedules,
+        the fusion width and the stream plan.  Returns ``(prefix,
+        start, bitmap_delay, start_delays, prefetches, width, plan)``.
+        """
+        spec = cluster.spec
+        config = self.config
+        features = config.features
+        prefix = f"or{next(_operation_ids)}"
+        start = cluster.sim.now
+        value_bytes = 4
+
+        bitmap_delay = 0.0
+        if config.charge_bitmap:
+            bitmap_delay = self.bitmap_model.time_s(total_elements, config.block_size)
+
+        start_delays = (
+            list(worker_start_delays)
+            if worker_start_delays is not None
+            else [0.0] * spec.workers
+        )
+        faults = getattr(cluster, "faults", None)
+        if faults is not None:
+            for worker_id in range(spec.workers):
+                start_delays[worker_id] += faults.worker_delay_s(worker_id)
+
+        tensor_bytes = total_elements * value_bytes
+        # Chunk-prefetch ablated: the whole tensor must be host-resident
+        # before the first byte leaves.
+        chunking = (
+            {} if features.chunk_prefetch else {"chunk_bytes": max(1, tensor_bytes)}
+        )
+        prefetches: List[Optional[PrefetchSchedule]] = [
+            None
+            if spec.gdr
+            else PrefetchSchedule(
+                tensor_bytes,
+                spec.pcie_gbps * 1e9,
+                start_s=start + bitmap_delay + start_delays[worker_id],
+                **chunking,
+            )
+            for worker_id in range(spec.workers)
+        ]
+
+        width = fusion_width(
+            config.block_size, value_bytes, self._payload_budget(), features.fusion
+        )
+        plan = plan_streams(
+            num_blocks(total_elements, config.block_size),
+            spec.num_shards,
+            config.effective_streams_per_shard,
+        )
+        if len(plan) > MAX_STREAMS:
+            raise ValueError(
+                f"{len(plan)} streams exceed the 12-bit slot id space of §5 "
+                f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
+            )
+        return prefix, start, bitmap_delay, start_delays, prefetches, width, plan
+
     def _run(
         self,
         tensors: List[np.ndarray],
@@ -320,7 +390,7 @@ class OmniReduce:
         with telemetry.collective(
             self.telemetry_label,
             self.cluster,
-            features=self.config.resolved_features(),
+            features=self.config.features,
         ) as op:
             result = self._run_impl(
                 tensors, worker_start_delays, gradient_readiness
@@ -347,32 +417,20 @@ class OmniReduce:
     ) -> PendingCollective:
         spec = self.cluster.spec
         config = self.config
-        features = config.resolved_features()
+        features = config.features
         sim = self.cluster.sim
         transport = self.cluster.transport
-        op_id = next(_operation_ids)
-        prefix = f"or{op_id}"
-        start = sim.now
         value_bytes = 4
+        prefix, start, bitmap_delay, start_delays, prefetches, width, plan = (
+            self._plan_run(self.cluster, tensors[0].size, worker_start_delays)
+        )
 
         outputs = [t.astype(np.float32, copy=True) for t in tensors]
         views = [BlockView(out, config.block_size) for out in outputs]
-        total_blocks = views[0].blocks
 
-        bitmap_delay = 0.0
-        if config.charge_bitmap:
-            bitmap_delay = self.bitmap_model.time_s(outputs[0].size, config.block_size)
-
-        start_delays = (
-            list(worker_start_delays)
-            if worker_start_delays is not None
-            else [0.0] * spec.workers
-        )
         faults = getattr(self.cluster, "faults", None)
         crashes = []
         if faults is not None:
-            for worker_id in range(spec.workers):
-                start_delays[worker_id] += faults.worker_delay_s(worker_id)
             for crash in faults.aggregator_crashes:
                 if crash.shard >= spec.num_shards:
                     raise ValueError(
@@ -399,41 +457,10 @@ class OmniReduce:
                     )
                 )
 
-        tensor_bytes = outputs[0].size * value_bytes
-        prefetches: List[Optional[PrefetchSchedule]] = []
-        down_engines: List[Optional[CopyEngine]] = []
-        pcie_bps = spec.pcie_gbps * 1e9
-        for worker_id in range(spec.workers):
-            if spec.gdr:
-                prefetches.append(None)
-                down_engines.append(None)
-            else:
-                prefetches.append(
-                    PrefetchSchedule(
-                        tensor_bytes,
-                        pcie_bps,
-                        start_s=start + bitmap_delay + start_delays[worker_id],
-                        # Chunk-prefetch ablated: the whole tensor must
-                        # be host-resident before the first byte leaves.
-                        **(
-                            {}
-                            if features.chunk_prefetch
-                            else {"chunk_bytes": max(1, tensor_bytes)}
-                        ),
-                    )
-                )
-                down_engines.append(CopyEngine(pcie_bps))
-
-        budget = self._payload_budget()
-        width = fusion_width(config.block_size, value_bytes, budget, features.fusion)
-        plan = plan_streams(
-            total_blocks, spec.num_shards, config.effective_streams_per_shard
-        )
-        if len(plan) > MAX_STREAMS:
-            raise ValueError(
-                f"{len(plan)} streams exceed the 12-bit slot id space of §5 "
-                f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
-            )
+        down_engines: List[Optional[CopyEngine]] = [
+            None if spec.gdr else CopyEngine(spec.pcie_gbps * 1e9)
+            for _ in range(spec.workers)
+        ]
         recovery = self._use_recovery()
         telemetry = getattr(self.cluster, "telemetry", None)
         recorder = telemetry.recorder if telemetry is not None else NULL_RECORDER

@@ -59,12 +59,8 @@ import numpy as np
 from ..netsim.flow import FlowUnsupported, cpu_chain, require_flow_capable, serialize_chain
 from ..telemetry.collect import TrafficSnapshot
 from ..tensors.blocks import num_blocks as _num_blocks
-from . import collective as _collective
 from .collective import CollectiveResult, OmniReduce
-from .config import MAX_STREAMS
-from .partition import fusion_width, plan_streams
 from .pending import PendingCollective
-from .prefetch import PrefetchSchedule
 
 __all__ = ["FlowOmniReduce", "TIME_RTOL"]
 
@@ -100,7 +96,7 @@ class FlowOmniReduce(OmniReduce):
         cluster = getattr(self.cluster, "flow_base", self.cluster)
         spec = cluster.spec
         config = self.config
-        features = config.resolved_features()
+        features = config.features
         lookahead = features.lookahead
         sim = cluster.sim
         transport = getattr(cluster.transport, "inner", cluster.transport)
@@ -136,12 +132,14 @@ class FlowOmniReduce(OmniReduce):
                 "deadline preemption cuts streams mid-round; use packet mode"
             )
 
-        # -- setup: mirrors OmniReduce._begin_impl ------------------------
-        prefix = f"or{next(_collective._operation_ids)}"
-        start = sim.now
+        # -- setup (shared with the packet engine) ------------------------
         value_bytes = 4
         block_size = config.block_size
         num_workers = spec.workers
+        total = int(np.asarray(tensors[0]).size)
+        prefix, start, bitmap_delay, start_delays, prefetches, width, plan = (
+            self._plan_run(cluster, total, worker_start_delays)
+        )
 
         # One flat (workers x elements) contribution buffer, zero-padded
         # to a whole number of blocks; the result outputs are row views
@@ -149,7 +147,6 @@ class FlowOmniReduce(OmniReduce):
         # block) set in a single fancy index, and the zero padding makes
         # tail-block gathers match the packet engine's explicit
         # tail-zeroing for free.
-        total = int(np.asarray(tensors[0]).size)
         total_blocks = _num_blocks(total, block_size)
         padded = total_blocks * block_size
         flat = np.zeros((num_workers, padded), dtype=np.float32)
@@ -158,50 +155,8 @@ class FlowOmniReduce(OmniReduce):
         outputs = [flat[worker_id, :total] for worker_id in range(num_workers)]
         tensor_bytes = total * value_bytes
 
-        bitmap_delay = 0.0
-        if config.charge_bitmap:
-            bitmap_delay = self.bitmap_model.time_s(total, block_size)
-
-        start_delays = (
-            list(worker_start_delays)
-            if worker_start_delays is not None
-            else [0.0] * num_workers
-        )
-        if faults is not None:
-            for worker_id in range(num_workers):
-                start_delays[worker_id] += faults.worker_delay_s(worker_id)
-
         gdr = spec.gdr
         pcie_bps = spec.pcie_gbps * 1e9
-        prefetches: List[Optional[PrefetchSchedule]] = []
-        for worker_id in range(num_workers):
-            if gdr:
-                prefetches.append(None)
-            else:
-                prefetches.append(
-                    PrefetchSchedule(
-                        tensor_bytes,
-                        pcie_bps,
-                        start_s=start + bitmap_delay + start_delays[worker_id],
-                        # Chunk-prefetch ablated: one whole-tensor chunk.
-                        **(
-                            {}
-                            if features.chunk_prefetch
-                            else {"chunk_bytes": max(1, tensor_bytes)}
-                        ),
-                    )
-                )
-
-        budget = self._payload_budget()
-        width = fusion_width(block_size, value_bytes, budget, features.fusion)
-        plan = plan_streams(
-            total_blocks, spec.num_shards, config.effective_streams_per_shard
-        )
-        if len(plan) > MAX_STREAMS:
-            raise ValueError(
-                f"{len(plan)} streams exceed the 12-bit slot id space of §5 "
-                f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
-            )
         recovery = False
         snapshot = TrafficSnapshot(cluster)
 
@@ -575,42 +530,28 @@ class FlowOmniReduce(OmniReduce):
 
         # Each worker books its round-0 sends through its tx CPU and
         # egress NIC in (send time, stream) order: cpu_chain followed by
-        # serialize_chain, batched across all workers at once.  With the
-        # ``flow_vectorized`` feature ablated, the same bookings run as
-        # a scalar per-worker loop over the chain helpers -- the 2D
-        # accumulate operates row-wise, so both paths are bit-identical.
-        if features.flow_vectorized:
-            ordw = np.argsort(t0.T, axis=1, kind="stable")  # (workers, streams)
-            ready = np.take_along_axis(t0.T, ordw, axis=1)
-            steps = np.arange(num_streams, dtype=np.float64)
-            txc = tx_cost_w[:, None]
-            base = np.maximum.accumulate(
-                np.maximum(ready, tx_free_w[:, None]) - steps * txc, axis=1
-            )
-            tx_ready = base + (steps + 1.0) * txc
-            dur = np.take_along_axis(wire0.T, ordw, axis=1) * inv_bw_w[:, None]
-            cum = np.cumsum(dur, axis=1)
-            base = np.maximum.accumulate(
-                np.maximum(tx_ready, eg_free_w[:, None]) - (cum - dur), axis=1
-            )
-            done = base + cum
-            tx_free_w[:] = tx_ready[:, -1]
-            eg_free_w[:] = done[:, -1]
-            arrivals0 = np.empty((num_workers, num_streams))
-            np.put_along_axis(arrivals0, ordw, done + latency, axis=1)
-            arrivals0 = arrivals0.T
-        else:
-            arrivals0 = np.empty((num_streams, num_workers))
-            for w in range(num_workers):
-                order_w = np.argsort(t0[:, w], kind="stable")
-                tx_ready = cpu_chain(t0[order_w, w], tx_cost_w[w], tx_free_w[w])
-                done = serialize_chain(
-                    tx_ready, wire0[order_w, w] * inv_bw_w[w], eg_free_w[w]
-                )
-                if len(done):
-                    tx_free_w[w] = tx_ready[-1]
-                    eg_free_w[w] = done[-1]
-                arrivals0[order_w, w] = done + latency
+        # serialize_chain, batched across all workers at once (the 2D
+        # accumulate operates row-wise, so each row is exactly the
+        # scalar chain helpers' recurrence).
+        ordw = np.argsort(t0.T, axis=1, kind="stable")  # (workers, streams)
+        ready = np.take_along_axis(t0.T, ordw, axis=1)
+        steps = np.arange(num_streams, dtype=np.float64)
+        txc = tx_cost_w[:, None]
+        base = np.maximum.accumulate(
+            np.maximum(ready, tx_free_w[:, None]) - steps * txc, axis=1
+        )
+        tx_ready = base + (steps + 1.0) * txc
+        dur = np.take_along_axis(wire0.T, ordw, axis=1) * inv_bw_w[:, None]
+        cum = np.cumsum(dur, axis=1)
+        base = np.maximum.accumulate(
+            np.maximum(tx_ready, eg_free_w[:, None]) - (cum - dur), axis=1
+        )
+        done = base + cum
+        tx_free_w[:] = tx_ready[:, -1]
+        eg_free_w[:] = done[:, -1]
+        arrivals0 = np.empty((num_workers, num_streams))
+        np.put_along_axis(arrivals0, ordw, done + latency, axis=1)
+        arrivals0 = arrivals0.T
         sent_w0 = wire0.sum(axis=0)
         sent_bytes_w += sent_w0
         sent_pkts_w += num_streams

@@ -577,28 +577,6 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         # the cached arrays as read-only.
         wire_full = float(wire(seg_cap))
         _wire_cache: dict = {}
-        flow_vectorized = self.features.flow_vectorized
-
-        def core_chain(
-            times: np.ndarray, src: str, dst: str, sizes: np.ndarray
-        ) -> np.ndarray:
-            """Book one message's segments across the shared core pipes.
-
-            The vectorized path collapses the per-pipe recurrence with
-            prefix maxima; with the feature ablated each segment books
-            the scalar :meth:`traverse_core` in turn -- the identical
-            recurrence (the uplink booking never depends on downlink
-            state), evaluated scalar-by-scalar like the packet kernel.
-            """
-            if flow_vectorized:
-                return topology.traverse_core_chain(times, src, dst, sizes)
-            out = np.empty(times.size, dtype=np.float64)
-            for i in range(times.size):
-                out[i] = topology.traverse_core(
-                    float(times[i]), src, dst, int(sizes[i])
-                )
-            return out
-
         def wire_sizes(nbytes: int) -> np.ndarray:
             sz = _wire_cache.get(nbytes)
             if sz is None:
@@ -648,7 +626,9 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
                 sz = per_msg[j]
                 core = done[k : k + sz.size]
                 if topology is not None:
-                    core = core_chain(core, whosts[leader], ahosts[j], sz)
+                    core = topology.traverse_core_chain(
+                        core, whosts[leader], ahosts[j], sz
+                    )
                 agg_arr[j].append(core + latency)
                 agg_sz[j].append(sz)
                 k += sz.size
@@ -674,7 +654,9 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
             for r in range(nracks):
                 core = done[r * sz1.size : (r + 1) * sz1.size]
                 if topology is not None:
-                    core = core_chain(core, ahosts[j], whosts[leaders[r]], sz1)
+                    core = topology.traverse_core_chain(
+                        core, ahosts[j], whosts[leaders[r]], sz1
+                    )
                 lead_arr[r].append(core + latency)
                 lead_sz[r].append(sz1)
 

@@ -78,9 +78,8 @@ class TestCellReport:
     def test_stable_run_ids(self, none_cell_report):
         ids = [run.run_id for run in none_cell_report.runs]
         assert ids[0] == "deeplight-none-baseline"
-        assert "deeplight-none-baseline-flow" in ids
         assert "deeplight-none-no-fusion" in ids
-        assert "deeplight-none-no-flow_vectorized-flow" in ids
+        assert all(not run_id.endswith("-flow") for run_id in ids)
 
     def test_one_delta_row_per_catalog_feature(self, none_cell_report):
         assert [d.feature for d in none_cell_report.deltas] == list(FEATURES)
@@ -99,13 +98,9 @@ class TestCellReport:
         assert baseline.metrics["goodput_gbps"] > 0
         assert baseline.metrics["retransmissions"] == 0
 
-    def test_flow_rows_compare_against_flow_baseline(self, none_cell_report):
-        delta = next(
-            d for d in none_cell_report.deltas if d.feature == "flow_vectorized"
-        )
-        assert delta.measured
-        assert delta.baseline is none_cell_report.flow_baseline
-        assert delta.run.metrics["retransmissions"] is None  # flow: n/a
+    def test_every_row_compares_against_the_cell_baseline(self, none_cell_report):
+        for delta in none_cell_report.deltas:
+            assert delta.baseline is none_cell_report.baseline
 
     def test_backoff_skipped_without_loss(self, none_cell_report):
         delta = next(
@@ -124,12 +119,11 @@ class TestCellReport:
         assert ranked[0].bytes_delta > 5.0
         assert ranked[0].time_delta > 0.5
 
-    def test_lossy_cell_measures_backoff_and_skips_flow(self, lossy_cell_report):
+    def test_lossy_cell_measures_backoff(self, lossy_cell_report):
         assert lossy_cell_report.ok
         by_feature = {d.feature: d for d in lossy_cell_report.deltas}
         assert by_feature["retransmit_backoff"].measured
-        assert not by_feature["flow_vectorized"].measured
-        assert "flow mode refuses" in by_feature["flow_vectorized"].skipped
+        assert all(d.measured for d in lossy_cell_report.deltas)
         assert lossy_cell_report.baseline.metrics["retransmissions"] > 0
 
 
@@ -172,8 +166,8 @@ class TestExperiment:
         run_ids = result.column("run_id")
         assert "deeplight-none-baseline" in run_ids
         assert "deeplight-none-no-zero_block_suppression" in run_ids
-        # One row per baseline (packet + flow) and per catalog feature.
-        assert len(result.rows) == 2 + len(FEATURES)
+        # One baseline row plus one row per catalog feature.
+        assert len(result.rows) == 1 + len(FEATURES)
         assert all(c in ("yes", "-") for c in result.column("correct"))
         assert any("importance ranking" in note for note in result.notes)
         assert any("skipped" in note for note in result.notes)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import ALGORITHMS, run_allreduce
+from repro.baselines import ALGORITHMS, prepare
 from repro.netsim import Cluster, ClusterSpec
 from repro.tensors import block_sparse_tensors
 
@@ -23,8 +23,8 @@ def make_inputs(workers=4, blocks=32, block_size=16, sparsity=0.5, seed=0, **kwa
     )
 
 
-def check(name, cluster, tensors, **opts):
-    result = run_allreduce(name, cluster, tensors, **opts)
+def check(name, cluster, tensors):
+    result = prepare(name, cluster).allreduce(tensors)
     expected = np.sum(np.stack(tensors), axis=0)
     for output in result.outputs:
         np.testing.assert_allclose(output, expected, rtol=1e-4, atol=1e-4)
@@ -49,7 +49,7 @@ def test_algorithm_correct_very_sparse(name):
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_algorithm_correct_all_zero(name):
     tensors = [np.zeros(256, dtype=np.float32) for _ in range(4)]
-    result = run_allreduce(name, make_cluster(), tensors)
+    result = prepare(name, make_cluster()).allreduce(tensors)
     for output in result.outputs:
         assert not output.any()
 
@@ -76,23 +76,23 @@ def test_algorithm_on_rdma(name):
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
-        run_allreduce("quantum-allreduce", make_cluster(), make_inputs())
+        prepare("quantum-allreduce", make_cluster()).allreduce(make_inputs())
 
 
 def test_validation_errors():
     cluster = make_cluster()
     with pytest.raises(ValueError):
-        run_allreduce("ring", cluster, [np.zeros(8)] * 3)
+        prepare("ring", cluster).allreduce([np.zeros(8)] * 3)
     with pytest.raises(ValueError):
-        run_allreduce("ring", cluster, [np.zeros(0)] * 4)
+        prepare("ring", cluster).allreduce([np.zeros(0)] * 4)
     with pytest.raises(ValueError):
-        run_allreduce("ring", cluster, [np.zeros(8)] * 3 + [np.zeros(9)])
+        prepare("ring", cluster).allreduce([np.zeros(8)] * 3 + [np.zeros(9)])
 
 
 def test_ring_rejects_lossy_datagrams():
     cluster = make_cluster(transport="dpdk", loss_rate=0.01)
     with pytest.raises(ValueError):
-        run_allreduce("ring", cluster, make_inputs())
+        prepare("ring", cluster).allreduce(make_inputs())
 
 
 def test_ring_survives_tcp_loss():
@@ -113,7 +113,7 @@ def test_property_baselines_equal_numpy_sum(name, workers, length, seed):
     for t in tensors:
         t[rng.random(length) < 0.6] = 0.0
     cluster = make_cluster(workers=workers)
-    result = run_allreduce(name, cluster, tensors)
+    result = prepare(name, cluster).allreduce(tensors)
     expected = np.sum(np.stack(tensors), axis=0)
     for output in result.outputs:
         np.testing.assert_allclose(output, expected, rtol=1e-4, atol=1e-4)

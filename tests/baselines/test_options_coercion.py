@@ -1,25 +1,27 @@
-"""The single options-coercion entry point and its deprecation shims.
+"""The single options-coercion entry point.
 
 ``Options.from_kwargs`` is the one documented way to coerce loose input
-into typed options; the legacy spellings (``options_from_kwargs`` on a
-collective, a bare ``OmniReduceConfig``) still work but warn.  The
-warning texts are pinned: they are part of the migration contract in
-docs/api.md.
+into typed options; ``Collective.prepare`` funnels everything through
+it and then pins the registry entry's preset on top.
 """
 
-import warnings
-
+import numpy as np
 import pytest
 
 from repro.baselines.api import (
+    AGsparseOptions,
     OmniReduceOptions,
     Options,
     PSOptions,
     RingOptions,
+    SparCMLOptions,
+    SwitchMLOptions,
 )
 from repro.baselines.registry import get
 from repro.core.config import OmniReduceConfig
+from repro.core.features import ProtocolFeatures
 from repro.netsim import Cluster, ClusterSpec
+from repro.telemetry import Telemetry
 
 
 def _cluster():
@@ -69,37 +71,71 @@ class TestOmniReduceSpellings:
                 config=OmniReduceConfig(), block_size=64
             )
 
-    def test_bare_config_warns_with_pinned_text(self):
+    def test_bare_config_is_an_ordinary_type_error(self):
         config = OmniReduceConfig(block_size=128)
-        with pytest.warns(DeprecationWarning, match="bare OmniReduceConfig is deprecated"):
-            opts = OmniReduceOptions.from_kwargs(config)
-        assert opts.config is config
-
-    def test_prepare_accepts_bare_config_with_warning(self):
-        config = OmniReduceConfig(block_size=128)
-        with pytest.warns(DeprecationWarning, match="bare OmniReduceConfig is deprecated"):
-            session = get("omnireduce").prepare(_cluster(), config)
-        assert session.engine.config.block_size == 128
+        with pytest.raises(TypeError, match="expected OmniReduceOptions"):
+            OmniReduceOptions.from_kwargs(config)
+        with pytest.raises(TypeError, match="'omnireduce'"):
+            get("omnireduce").prepare(_cluster(), config)
 
 
-class TestLegacyCollectiveShim:
-    def test_options_from_kwargs_warns_with_pinned_text(self):
-        with pytest.warns(
-            DeprecationWarning, match=r"options_from_kwargs\(\) is deprecated"
-        ):
-            opts = get("ring").options_from_kwargs(segment_elements=1024)
-        assert isinstance(opts, RingOptions)
-        assert opts.segment_elements == 1024
-
-    def test_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            get("ps").options_from_kwargs(sparse=True)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
+class TestPrepareCoercion:
     def test_prepare_coerce_rejects_wrong_options_class(self):
         with pytest.raises(TypeError, match="'ring'"):
             get("ring").prepare(_cluster(), PSOptions())
+
+    @pytest.mark.parametrize(
+        "name, family_options, pinned",
+        [
+            ("sparcml-ssar", SparCMLOptions(), {"mode": "ssar"}),
+            ("sparcml-dsar", SparCMLOptions(), {"mode": "dsar"}),
+            ("agsparse-gloo", AGsparseOptions(), {"backend": "gloo"}),
+            ("ps-sparse", PSOptions(), {"sparse": True}),
+        ],
+    )
+    def test_preset_names_run_their_pinned_variant(
+        self, name, family_options, pinned
+    ):
+        """A variant name is its family's Options class plus a preset:
+        handing it the family defaults (or nothing) still runs the
+        variant, and the engine is built from the pinned value."""
+        collective = get(name)
+        assert type(collective.default_options()) is type(family_options)
+        tensors = [np.arange(64, dtype=np.float32)] * 2
+        for options in (None, family_options):
+            session = collective.prepare(_cluster(), options)
+            for field, value in pinned.items():
+                assert getattr(session.options, field) == value
+                assert getattr(session.engine, field) == value
+            result = session.allreduce(tensors)
+            np.testing.assert_allclose(result.output, tensors[0] * 2)
+
+    def test_preset_overrides_a_conflicting_request(self):
+        session = get("sparcml-ssar").prepare(
+            _cluster(), SparCMLOptions(mode="dsar")
+        )
+        assert session.engine.mode == "ssar"
+
+
+class TestSwitchMLFeatures:
+    """``SwitchMLOptions(features=F)`` must reach the engine, and the
+    telemetry stamp must be the set the engine ran -- not the request."""
+
+    def test_options_features_reach_the_engine_and_the_stamp(self):
+        tensors = [np.arange(4096, dtype=np.float32)] * 2
+        fused = get("switchml").prepare(_cluster()).allreduce(tensors)
+        assert fused.details["fusion_width"] > 1
+
+        telemetry = Telemetry()
+        options = SwitchMLOptions(
+            features=ProtocolFeatures(fusion=False), telemetry=telemetry
+        )
+        with get("switchml").prepare(_cluster(), options) as session:
+            unfused = session.allreduce(tensors)
+        assert unfused.details["fusion_width"] == 1
+        np.testing.assert_array_equal(unfused.output, fused.output)
+
+        ran = session.engine.features
+        assert ran == ProtocolFeatures(fusion=False, zero_block_suppression=False)
+        assert session.features == ran
+        assert list(telemetry.run_features.values()) == [dict(ran.labels())]

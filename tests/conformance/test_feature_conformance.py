@@ -88,7 +88,6 @@ def test_all_features_off_together_matches_oracle():
         slot_parallelism=False,
         fusion=False,
         chunk_prefetch=False,
-        flow_vectorized=False,
     )
     for sim_mode in ("packet", "flow"):
         report = run_case(

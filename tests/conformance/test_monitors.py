@@ -217,9 +217,9 @@ def test_violations_are_capped():
 def test_default_monitors_composition():
     base = default_monitors(algorithm="ring")
     assert len(base) == 3
-    omni = default_monitors(algorithm="omnireduce", skip_zero_blocks=True)
+    omni = default_monitors(algorithm="omnireduce", zero_block_suppression=True)
     assert any(isinstance(m, NoZeroBlockMonitor) for m in omni)
     lossy = default_monitors(
-        algorithm="omnireduce", skip_zero_blocks=True, backoff=(1e-3, 2.0, 4e-3)
+        algorithm="omnireduce", zero_block_suppression=True, backoff=(1e-3, 2.0, 4e-3)
     )
     assert any(isinstance(m, RetransmitBackoffMonitor) for m in lossy)

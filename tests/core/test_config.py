@@ -1,16 +1,15 @@
-"""Tests for OmniReduceConfig validation and the deprecation shims."""
+"""Tests for OmniReduceConfig validation."""
 
 import pytest
 
 from repro.core import OmniReduceConfig, ProtocolFeatures
-from repro.core.config import BACKOFF_DEPRECATION, FUSION_DEPRECATION
 
 
 def test_defaults_match_paper():
     config = OmniReduceConfig()
     assert config.block_size == 256
     assert config.features.fusion is True
-    assert config.skip_zero_blocks is True
+    assert config.features.zero_block_suppression is True
     assert config.reduction == "sum"
 
 
@@ -57,44 +56,15 @@ def test_with_replaces_fields():
     assert config.features.fusion
 
 
-def test_fusion_constructor_shim_warns_and_folds():
-    with pytest.warns(DeprecationWarning, match="fusion knob is deprecated"):
-        config = OmniReduceConfig(fusion=False)
-    assert config.features.fusion is False
-
-
-def test_backoff_constructor_shim_warns_and_folds():
-    with pytest.warns(
-        DeprecationWarning, match="backoff_factor knob is deprecated"
-    ):
-        config = OmniReduceConfig(backoff_factor=2.0)
-    assert config.features.backoff_factor == 2.0
-
-
-def test_fusion_read_shim_warns():
-    config = OmniReduceConfig()
-    with pytest.warns(DeprecationWarning) as record:
-        assert config.fusion is True
-    assert str(record[0].message) == FUSION_DEPRECATION
-
-
-def test_backoff_read_shim_warns():
-    config = OmniReduceConfig()
-    with pytest.warns(DeprecationWarning) as record:
-        assert config.backoff_factor == 1.0
-    assert str(record[0].message) == BACKOFF_DEPRECATION
-
-
-def test_legacy_backoff_still_validated():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError):
-            OmniReduceConfig(backoff_factor=0.5)
-
-
-def test_resolved_features_honors_skip_zero_blocks():
-    config = OmniReduceConfig(skip_zero_blocks=False)
-    assert config.features.zero_block_suppression  # untouched
-    assert not config.resolved_features().zero_block_suppression
+@pytest.mark.parametrize("knob", ["skip_zero_blocks", "fusion", "backoff_factor"])
+def test_removed_knobs_are_plain_type_errors(knob):
+    """The mechanisms live in ``features`` only; the old config-level
+    spellings are unknown fields, not shims."""
+    with pytest.raises(TypeError):
+        OmniReduceConfig(**{knob: False})
+    with pytest.raises(TypeError):
+        OmniReduceConfig().with_(**{knob: False})
+    assert not hasattr(OmniReduceConfig(), knob)
 
 
 def test_effective_streams_gated_by_slot_parallelism():

@@ -15,7 +15,6 @@ class TestDefaults:
         assert features.slot_parallelism
         assert features.fusion
         assert features.chunk_prefetch
-        assert features.flow_vectorized
         assert features.backoff_factor == 1.0
 
     def test_default_shared_instance(self):
@@ -32,7 +31,7 @@ class TestValidation:
         "name",
         [
             "lookahead", "zero_block_suppression", "slot_parallelism",
-            "fusion", "chunk_prefetch", "flow_vectorized",
+            "fusion", "chunk_prefetch",
         ],
     )
     def test_boolean_fields_reject_non_bools(self, name):
@@ -92,12 +91,11 @@ class TestCatalog:
         assert set(FEATURES) == {
             "lookahead", "zero_block_suppression", "slot_parallelism",
             "fusion", "retransmit_backoff", "chunk_prefetch",
-            "flow_vectorized",
         }
+        assert len(FEATURES) == 6
 
     def test_mode_restrictions(self):
         assert FEATURES["retransmit_backoff"].modes == ("packet",)
-        assert FEATURES["flow_vectorized"].modes == ("flow",)
         for name in ("lookahead", "fusion", "zero_block_suppression"):
             assert set(FEATURES[name].modes) == {"packet", "flow"}
 

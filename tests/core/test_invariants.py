@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OmniReduce, OmniReduceConfig
+from repro.core import OmniReduce, OmniReduceConfig, ProtocolFeatures
 from repro.core.messages import ResultPacket, WorkerPacket
 from repro.netsim import Cluster, ClusterSpec
 from repro.tensors import BlockView, block_sparse_tensors
@@ -124,7 +124,9 @@ def test_each_result_block_broadcast_once_per_worker():
 
 def test_dense_mode_sends_every_block():
     tensors = make_inputs(sparsity=0.9, blocks=16)
-    _, worker_packets, _ = run_with_spy(tensors, skip_zero_blocks=False)
+    _, worker_packets, _ = run_with_spy(
+        tensors, features=ProtocolFeatures(zero_block_suppression=False)
+    )
     sent = set()
     for packet in worker_packets:
         for lane in packet.lanes:

@@ -43,6 +43,20 @@ def test_design_md_test_targets_exist():
         assert (REPO / target).exists(), f"DESIGN.md references missing {target}"
 
 
+def test_cited_result_files_exist():
+    """Every ``benchmarks/results/<file>`` a document names is committed."""
+    documents = [REPO / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+    documents += sorted((REPO / "docs").glob("*.md"))
+    cited = {
+        (doc.name, path)
+        for doc in documents
+        for path in re.findall(r"benchmarks/results/[\w.-]*\w", doc.read_text())
+    }
+    assert cited, "the documents cite committed result files"
+    missing = sorted((doc, path) for doc, path in cited if not (REPO / path).is_file())
+    assert not missing, f"documents cite result files that do not exist: {missing}"
+
+
 def test_experiments_md_covers_every_figure_and_table():
     experiments = (REPO / "EXPERIMENTS.md").read_text()
     for fig in (1, 4, 5, 6, 7, 8, 9, 10, 13, 14, 15, 16, 17, 18, 20, 21):
