@@ -85,6 +85,16 @@ class PacketTracer:
     # -- recording ---------------------------------------------------------
 
     def record(self, time_s: float, kind: str, packet: Packet) -> None:
+        if self.max_events == 0:
+            # Nothing is retained -- no event, no latency -- so build
+            # neither; every event still counts as evicted.
+            self.events_dropped += 1
+        else:
+            self._retain(time_s, kind, packet)
+        for listener in self.listeners:
+            listener.observe(time_s, kind, packet)
+
+    def _retain(self, time_s: float, kind: str, packet: Packet) -> None:
         events = self.events
         if self.max_events is not None and len(events) == self.max_events:
             self.events_dropped += 1  # ring is full: oldest event evicted
@@ -107,8 +117,6 @@ class PacketTracer:
                 self._latencies.append(time_s - sent)
         else:  # dropped: the packet will never be delivered, drop its entry
             self._sent_at.pop(packet.pkt_id, None)
-        for listener in self.listeners:
-            listener.observe(time_s, kind, packet)
 
     # -- queries -----------------------------------------------------------
 

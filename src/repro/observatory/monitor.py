@@ -25,12 +25,13 @@ metrics registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .attribution import correlate
 from .detectors import (
+    _RESPAWN_PORT,
     DEFAULT_DETECTORS,
-    AggregatorCrashDetector,
     JobSample,
     PipeSample,
     Window,
@@ -85,6 +86,8 @@ class _ClusterSampler:
         }
         self._last_drops = stats.total_packets_dropped
         self._last_pipe_busy: Dict[str, float] = {}
+        #: aggregator host -> (ports scanned, top respawn generation).
+        self._agg_scan: Dict[str, Tuple[int, int]] = {}
 
     def __call__(self, now: float) -> None:
         if now < self._next_s:
@@ -135,16 +138,31 @@ class _ClusterSampler:
                     backlog_s=pipe.backlog_s(now),
                 )
 
-        window.agg_generations = AggregatorCrashDetector.scan_generations(
-            {
-                name: cluster.network.host(name)
-                for name in cluster.aggregator_hosts
-            }
-        )
+        window.agg_generations = self._agg_generations()
 
         window.jobs = self.observatory._job_samples()
         self.observatory._run_detectors(window)
         self._last_s = now
+
+    def _agg_generations(self) -> Dict[str, int]:
+        """:meth:`AggregatorCrashDetector.scan_generations`, incrementally.
+
+        Port tables are insertion-ordered and append-only, so each
+        window scans only the ports registered since the previous one
+        and folds them into the carried per-host top generation.
+        """
+        network = self.cluster.network
+        out: Dict[str, int] = {}
+        for name in self.cluster.aggregator_hosts:
+            ports = network.host(name)._ports
+            seen, top = self._agg_scan.get(name, (0, 0))
+            for port in islice(ports, seen, None):
+                match = _RESPAWN_PORT.search(port)
+                if match:
+                    top = max(top, int(match.group(1)))
+            self._agg_scan[name] = (len(ports), top)
+            out[name] = top
+        return out
 
 
 class _TelemetryBridge:

@@ -14,7 +14,9 @@ virtual clock (exported in microseconds, the format's native unit).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List
 
 from .metrics import UNIFORM_METRICS, unsupported_metrics
 
@@ -29,10 +31,19 @@ __all__ = [
 ]
 
 
-def chrome_trace(telemetry) -> Dict[str, Any]:
-    """Render the telemetry's recorded events as a Chrome trace dict."""
+#: One-shot encoder for the trace file.  ``encode`` takes the C path;
+#: ``json.dump`` would walk every record through the pure-Python
+#: ``iterencode`` instead, for the same bytes.
+_ENCODE = json.JSONEncoder(separators=(",", ":"), default=float).encode
+
+#: Records encoded per ``write_chrome_trace`` chunk: enough to amortise
+#: the encoder call, few enough that no chunk's text grows with the run.
+_CHUNK_RECORDS = 8192
+
+
+def _trace_records(telemetry) -> Iterator[Dict[str, Any]]:
+    """Yield the Chrome trace's ``traceEvents`` records in document order."""
     tracer = telemetry.tracer
-    trace_events: List[Dict[str, Any]] = []
 
     # Name each run's process after its algorithm; runs that declared a
     # protocol feature set also get a ``process_labels`` metadata record
@@ -40,30 +51,26 @@ def chrome_trace(telemetry) -> Dict[str, Any]:
     # protocol variant produced it.
     run_features = getattr(telemetry, "run_features", {})
     for pid, label in sorted(telemetry.run_labels.items()):
-        trace_events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": label},
-            }
-        )
+        yield {
+            "ph": "M",
+            "name": "process_name",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": label},
+        }
         features = run_features.get(pid)
         if features:
             stamp = ",".join(
                 ("+" if enabled else "-") + name
                 for name, enabled in features.items()
             )
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "process_labels",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"labels": stamp},
-                }
-            )
+            yield {
+                "ph": "M",
+                "name": "process_labels",
+                "pid": pid,
+                "tid": 0,
+                "args": {"labels": stamp},
+            }
 
     # Tracks map to integer thread ids, allocated per process in order
     # of first appearance; metadata records carry the human name.
@@ -73,21 +80,19 @@ def chrome_trace(telemetry) -> Dict[str, Any]:
         key = (pid, track)
         if key not in tids:
             tids[key] = next_tid[pid] = next_tid.get(pid, 0) + 1
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tids[key],
-                    "args": {"name": track},
-                }
-            )
+            yield {
+                "ph": "M",
+                "name": "thread_name",
+                "pid": pid,
+                "tid": tids[key],
+                "args": {"name": track},
+            }
 
     # Event records, globally ordered by virtual time.  Python's sort is
     # stable, so same-timestamp events keep their recording order and
     # begin/end nesting survives ties.
     for pid, ts, ph, track, name, cat, args in sorted(
-        tracer.events, key=lambda e: e[1]
+        tracer.events, key=itemgetter(1)
     ):
         record: Dict[str, Any] = {
             "ph": ph,
@@ -102,26 +107,49 @@ def chrome_trace(telemetry) -> Dict[str, Any]:
             record["s"] = "t"  # thread-scoped instant
         if args:
             record["args"] = dict(args)
-        trace_events.append(record)
+        yield record
 
+
+def _document(telemetry, trace_events: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ns",
         "otherData": {
             "clock": "virtual (simulator seconds, exported as us)",
-            "spans_dropped": tracer.dropped,
+            "spans_dropped": telemetry.tracer.dropped,
         },
     }
 
 
+def chrome_trace(telemetry) -> Dict[str, Any]:
+    """Render the telemetry's recorded events as a Chrome trace dict."""
+    return _document(telemetry, list(_trace_records(telemetry)))
+
+
 def write_chrome_trace(telemetry, path: str) -> None:
+    """Write :func:`chrome_trace` as compact JSON, streamed in chunks.
+
+    The bytes are those of ``json.dump(chrome_trace(telemetry), fh,
+    separators=(",", ":"), default=float)``; records are built and
+    encoded ``_CHUNK_RECORDS`` at a time, so the file never exists as
+    one dict or one string in memory.
+    """
+    head = '{"traceEvents":['
+    # ``traceEvents`` is the document's first key: from its empty list's
+    # closing bracket on, the encoded envelope is the file's tail.
+    tail = _ENCODE(_document(telemetry, []))[len(head):]
+    records = _trace_records(telemetry)
     with open(path, "w") as fh:
-        json.dump(
-            chrome_trace(telemetry),
-            fh,
-            separators=(",", ":"),
-            default=float,
-        )
+        fh.write(head)
+        separator = ""
+        while True:
+            chunk = list(islice(records, _CHUNK_RECORDS))
+            if not chunk:
+                break
+            fh.write(separator)
+            fh.write(_ENCODE(chunk)[1:-1])
+            separator = ","
+        fh.write(tail)
 
 
 def metrics_report(telemetry) -> Dict[str, Any]:

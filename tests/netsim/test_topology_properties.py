@@ -14,12 +14,13 @@ kernel books (``traverse``).  Hypothesis pins:
   through ``traverse_core_chain`` (uplink, ECMP spine, downlink, each a
   vectorized chain) matches booking every segment through the scalar
   ``traverse_core``, across many interleaved cross-rack messages;
-* completion times are monotonically non-increasing in pipe capacity.
+* completion times are monotonically non-increasing in pipe capacity,
+  up to the collapse's derived rounding bound (``MONOTONE_ULPS``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.topology import (
@@ -163,20 +164,39 @@ def test_property_leafspine_chain_composes_like_scalar_walk(seed, messages):
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-18)
 
 
+#: Roundings per element of ``traverse_chain``'s collapse that can break
+#: ordering in the rate.  ``durations`` (``size * (8/rate)``) and their
+#: ``cumsum`` are correctly rounded monotone operations, so a fatter
+#: pipe's are never larger.  The collapse then rounds three times:
+#: ``prev = cum - dur``, ``max(t, free) - prev`` and ``base + cum``.  The
+#: first subtracts two quantities that shrink together, so the chain of
+#: three can land either side of the exact value, each by at most half
+#: an ulp of a quantity no larger than the finish time.
+COLLAPSE_ROUNDINGS = 3
+#: The fast pipe can land high while the slow one lands low: two sides,
+#: each ``COLLAPSE_ROUNDINGS`` half-ulps.  (Measured worst: 2 ulp, over
+#: 180,000 random chains of 1-50 bookings and 3,000 of 50-3,000.)
+MONOTONE_ULPS = 2 * COLLAPSE_ROUNDINGS * 0.5
+
+
 @given(
     items=bookings,
     rate=st.floats(min_value=1e9, max_value=1e10),
     factor=st.floats(min_value=1.0, max_value=100.0),
 )
+# A fatter pipe by one ulp of capacity: the second finish time comes
+# out one ulp *later* than the slow pipe's.
+@example(items=[(0.19, 68004), (0.5, 85095)], rate=1e9, factor=1 + 2**-52)
 @settings(max_examples=60, deadline=None)
 def test_property_chain_monotone_in_capacity(items, rate, factor):
-    """A fatter pipe never finishes any segment later."""
+    """A fatter pipe never finishes any segment later -- exactly in
+    real arithmetic, and within the collapse's rounding in floats."""
     items = sorted(items)
     times = np.array([t for t, _ in items])
     sizes = np.array([s for _, s in items], dtype=np.float64)
     slow = _SharedPipe(rate).traverse_chain(times, sizes)
     fast = _SharedPipe(rate * factor).traverse_chain(times, sizes)
-    assert np.all(fast <= slow)
+    assert np.all(fast <= slow + MONOTONE_ULPS * np.spacing(slow))
 
 
 def test_chain_empty_and_singleton():

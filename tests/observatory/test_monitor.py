@@ -7,7 +7,12 @@ from repro.core.collective import OmniReduce
 from repro.core.config import OmniReduceConfig
 from repro.faults import AggregatorCrash, FaultPlan, StragglerSchedule
 from repro.netsim import Cluster, ClusterSpec
-from repro.observatory import Observatory, ObservatoryConfig
+from repro.observatory import (
+    AggregatorCrashDetector,
+    Observatory,
+    ObservatoryConfig,
+)
+from repro.observatory.detectors import Detector
 from repro.telemetry import Telemetry
 from repro.telemetry.export import validate_chrome_trace
 from repro.tensors import block_sparse_tensors
@@ -161,6 +166,53 @@ class TestTelemetryBridge:
         assert counter is not None
         total = sum(s["value"] for s in counter.samples())
         assert total == len(obs.incidents)
+
+
+class _FullScan(Detector):
+    """Records each window's generations beside a full port-table scan."""
+
+    name = "full-scan"
+
+    def __init__(self, cluster):
+        super().__init__()
+        self.cluster = cluster
+        self.pairs = []
+
+    def observe(self, window, store, log):
+        network = self.cluster.network
+        full = AggregatorCrashDetector.scan_generations(
+            {name: network.host(name) for name in self.cluster.aggregator_hosts}
+        )
+        self.pairs.append((dict(window.agg_generations), full))
+
+
+class TestIncrementalGenerationScan:
+    def test_every_window_matches_the_full_scan(self):
+        cluster = _cluster(
+            FaultPlan(
+                aggregator_crashes=(
+                    AggregatorCrash(shard=0, time_s=120e-6,
+                                    restart_delay_s=100e-6),
+                )
+            )
+        )
+        obs = Observatory(
+            ObservatoryConfig(interval_s=20e-6, detectors=("agg-crash",))
+        )
+        full_scan = _FullScan(cluster)
+        obs.detectors.append(full_scan)
+        obs.attach(cluster)
+        _run(cluster)
+        obs.finalize()
+
+        assert full_scan.pairs
+        for incremental, full in full_scan.pairs:
+            assert incremental == full
+        tops = [max(gens.values()) for gens, _ in full_scan.pairs]
+        # The respawn lands mid-run: windows before it, and after it.
+        assert tops[0] == 0 and tops[-1] >= 1
+        restarts = [i for i in obs.incidents if i.kind == "restart"]
+        assert len(restarts) == 1
 
 
 class TestServiceWatch:

@@ -9,8 +9,8 @@ from repro.baselines import ALGORITHMS
 from repro.core import OmniReduce, OmniReduceConfig
 from repro.faults import AggregatorCrash, FaultPlan
 from repro.netsim import Cluster, ClusterSpec
-from repro.telemetry import Telemetry, TelemetryConfig
-from repro.telemetry.export import validate_chrome_trace
+from repro.telemetry import Telemetry, TelemetryConfig, export
+from repro.telemetry.export import chrome_trace, validate_chrome_trace
 from repro.tensors import block_sparse_tensors
 
 pytestmark = pytest.mark.telemetry
@@ -127,6 +127,53 @@ def test_write_trace_and_metrics_files(tmp_path):
     assert validate_chrome_trace(trace) == []
     metrics = json.loads(metrics_path.read_text())
     assert "omnireduce" in metrics["algorithms"]
+
+
+def _written(tmp_path, tele):
+    """Write the trace, check it is ``json.dump``'s bytes, parse it."""
+    path = tmp_path / "trace.json"
+    tele.write_trace(str(path))
+    text = path.read_text()
+    assert text == json.dumps(
+        chrome_trace(tele), separators=(",", ":"), default=float
+    )
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, "all"])
+def test_streamed_trace_is_byte_identical_across_chunk_seams(
+    tmp_path, monkeypatch, chunk
+):
+    tele, _ = _recorded_run()
+    if chunk == "all":
+        # One full chunk, then an empty one.
+        chunk = len(chrome_trace(tele)["traceEvents"])
+    monkeypatch.setattr(export, "_CHUNK_RECORDS", chunk)
+    _written(tmp_path, tele)
+
+
+def test_streamed_trace_of_empty_telemetry(tmp_path):
+    assert _written(tmp_path, Telemetry())["traceEvents"] == []
+
+
+def test_streamed_trace_encodes_numpy_scalars_as_floats(tmp_path):
+    tele = Telemetry()
+    tele.reserve_pid("numpy-args")
+    tele.tracer.begin(
+        1e-6, "t", "s", args={"f32": np.float32(0.25), "i64": np.int64(3)}
+    )
+    tele.tracer.end(2e-6, "t")
+    begin = [e for e in _written(tmp_path, tele)["traceEvents"]
+             if e["ph"] == "B"]
+    assert begin[0]["args"] == {"f32": 0.25, "i64": 3.0}
+
+
+def test_streamed_trace_carries_spans_dropped(tmp_path):
+    tele = Telemetry(TelemetryConfig(max_span_events=200))
+    _recorded_run(telemetry=tele)
+    assert tele.tracer.dropped > 0
+    other = _written(tmp_path, tele)["otherData"]
+    assert other["spans_dropped"] == tele.tracer.dropped
 
 
 def test_span_cap_keeps_trace_balanced():
