@@ -1,8 +1,10 @@
 """Fault-injection sweep: recovery cost vs the App. D zero-fault baseline."""
 
+import numpy as np
 import pytest
 
 from repro.bench import fault_recovery
+from repro.conformance.oracle import tolerance_for
 
 pytestmark = pytest.mark.faults
 
@@ -12,12 +14,13 @@ def test_fault_recovery(run_once, record):
 
     baseline = result.row_where(scenario="baseline")
     # Appendix D reference: with zero faults injected every recovery
-    # counter stays at zero and the collective completes exactly.
+    # counter stays at zero and the collective completes to within the
+    # float32 summation-order bound of a 4-worker reduction.
     assert baseline["retransmissions"] == 0
     assert baseline["timeouts"] == 0
     assert baseline["recovery_events"] == 0
     assert baseline["complete"] is True
-    assert baseline["max_abs_err"] == 0
+    assert baseline["max_abs_err"] <= tolerance_for(np.float32, 4)
 
     # The Gilbert-Elliott sweep completes at every intensity and the
     # heavier rate populates the retransmission/timeout counters.

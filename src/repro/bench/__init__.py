@@ -31,7 +31,6 @@ from .harness import (
     sample_count,
     tensor_elements,
 )
-from .perf import PerfRecord, measure as measure_perf
 from .micro import (
     ablation_streams,
     fig04_dense_allreduce,
@@ -54,8 +53,6 @@ __all__ = [
     "job_count",
     "parallel_map",
     "cached_tensors",
-    "PerfRecord",
-    "measure_perf",
     "fig01_scalability",
     "fig04_dense_allreduce",
     "fig05_rdma_methods",

@@ -5,7 +5,6 @@ Usage::
     python -m repro.bench --list
     python -m repro.bench figure-6 figure-9
     python -m repro.bench all
-    python -m repro.bench figure-6 --timing
     python -m repro.bench figure-6 --profile figure6.prof
 
 Each experiment prints the same rows/series the paper's figure or table
@@ -13,12 +12,11 @@ reports.  Sizes honour the REPRO_* environment variables documented in
 :mod:`repro.bench.harness` (including ``REPRO_JOBS`` for multiprocess
 sweep fan-out).
 
-``--timing`` records wall time and simulator events/sec per experiment
-into ``BENCH_netsim.json`` (see :mod:`repro.bench.perf`); with
-``--perf-baseline FILE`` the run fails if throughput regresses beyond
-``--perf-tolerance`` against the committed baseline.  ``--profile FILE``
-runs the experiments under cProfile and dumps the stats for
-``pstats``/snakeviz (see docs/performance.md).
+Each experiment's wall time is printed after its table.  ``--profile
+FILE`` runs the experiments under cProfile and dumps the stats for
+``pstats``/snakeviz (see docs/performance.md); layer-by-layer host cost
+and regression gating live in ``perfledger`` (``python -m perfledger
+run|compare``).
 
 ``--trace FILE`` / ``--metrics FILE`` activate the unified telemetry
 layer (:mod:`repro.telemetry`) for every experiment run and export a
@@ -34,8 +32,6 @@ import re
 import sys
 import time
 from typing import Callable, Dict
-
-from . import perf
 
 from . import (
     ablation,
@@ -137,25 +133,6 @@ def main(argv=None) -> int:
         help="with --save, additionally write DIR/<experiment-id>.json",
     )
     parser.add_argument(
-        "--timing", action="store_true",
-        help="report wall time and simulator events/sec per experiment "
-             "and record them in --perf-out",
-    )
-    parser.add_argument(
-        "--perf-out", metavar="FILE", default="BENCH_netsim.json",
-        help="perf report written by --timing (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--perf-baseline", metavar="FILE", default=None,
-        help="fail when events/sec regresses more than --perf-tolerance "
-             "against this committed report (implies --timing measurement)",
-    )
-    parser.add_argument(
-        "--perf-tolerance", type=float, default=perf.DEFAULT_TOLERANCE,
-        metavar="FRAC",
-        help="tolerated fractional events/sec drop (default: %(default)s)",
-    )
-    parser.add_argument(
         "--profile", metavar="FILE", default=None,
         help="run experiments under cProfile and dump stats to FILE",
     )
@@ -219,29 +196,18 @@ def main(argv=None) -> int:
         )
         tele_mod.runtime.activate(telemetry)
 
-    track_perf = args.timing or args.perf_baseline is not None
-    records = {}
     for name in names:
         start = time.time()
         if profiler is not None:
             profiler.enable()
         try:
-            result, record = perf.measure(EXPERIMENTS[name])
+            result = EXPERIMENTS[name]()
         finally:
             if profiler is not None:
                 profiler.disable()
-        if track_perf:
-            records[name] = record
         text = format_table(result)
         print(text)
-        if track_perf:
-            print(
-                f"[{name} completed in {record.wall_s:.1f}s, "
-                f"{record.events:,} events, "
-                f"{record.events_per_s:,.0f} events/s]\n"
-            )
-        else:
-            print(f"[{name} completed in {time.time() - start:.1f}s]\n")
+        print(f"[{name} completed in {time.time() - start:.1f}s]\n")
         if save_dir is not None:
             (save_dir / f"{result.experiment_id}.txt").write_text(text + "\n")
             if args.json:
@@ -269,20 +235,6 @@ def main(argv=None) -> int:
         if args.metrics is not None:
             telemetry.write_metrics(args.metrics)
             print(f"metrics written to {args.metrics}")
-
-    if args.timing:
-        perf.write_report(args.perf_out, records)
-        print(f"perf report written to {args.perf_out}")
-
-    if args.perf_baseline is not None:
-        failures = perf.compare(
-            perf.load_report(args.perf_baseline), records, args.perf_tolerance
-        )
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"perf check passed against {args.perf_baseline}")
     return 0
 
 

@@ -24,12 +24,10 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..netsim import kernel
 from ..tensors import block_sparse_tensors
 
 __all__ = [
@@ -71,18 +69,6 @@ def job_count(default: int = 1) -> int:
     return n
 
 
-def _counted_call(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, int]:
-    """Run ``fn(item)`` and report the simulator events it executed.
-
-    Runs inside pool workers; the event delta travels back with the
-    result so the parent can fold it into its own module-level total
-    (a child's counter would otherwise be lost with the process).
-    """
-    before = kernel.events_total()
-    result = fn(item)
-    return result, kernel.events_total() - before
-
-
 def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     """Map ``fn`` over ``items``, fanning out across ``REPRO_JOBS`` processes.
 
@@ -92,8 +78,7 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     a module-level function and items are plain tuples.  Output order
     always matches input order, and because each data point builds its
     own cluster and seeds its own RNG, results are identical to the
-    sequential run.  Simulator event counts from the children are folded
-    back into this process's total so ``--timing`` stays accurate.
+    sequential run.
     """
     items = list(items)
     jobs = min(job_count(), len(items))
@@ -105,9 +90,7 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     # simulator/tensor-cache state, identical behaviour on every OS.
     context = multiprocessing.get_context("spawn")
     with context.Pool(jobs) as pool:
-        pairs = pool.map(partial(_counted_call, fn), items)
-    kernel.add_events(sum(events for _, events in pairs))
-    return [result for result, _ in pairs]
+        return pool.map(fn, items)
 
 
 #: Bounded memo of generated input tensors.  A sweep point asks every

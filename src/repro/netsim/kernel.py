@@ -62,7 +62,6 @@ __all__ = [
     "DeadlockError",
     "Interrupt",
     "events_total",
-    "add_events",
 ]
 
 #: Type of a process body: a generator that yields events.
@@ -338,23 +337,12 @@ def events_total() -> int:
     """Total simulation events executed in this process.
 
     The counter aggregates every :class:`Simulator`'s executed steps when
-    its :meth:`Simulator.run` returns, so the bench layer can report
-    events-per-second for an experiment that creates many simulators.
+    its :meth:`Simulator.run` returns, so perfledger's workloads can count
+    the events of an operation that creates many simulators.
     (Steps driven manually via :meth:`Simulator.step` outside ``run`` are
     counted the next time that simulator's ``run`` finishes.)
     """
     return _events_total
-
-
-def add_events(count: int) -> None:
-    """Fold an externally executed event count into the process total.
-
-    Used by the bench layer's multiprocessing sweep runner: pool workers
-    report how many events they executed, and the parent folds the
-    counts in here so :func:`events_total` covers the whole sweep.
-    """
-    global _events_total
-    _events_total += int(count)
 
 
 class Simulator:

@@ -11,8 +11,7 @@ and runs the detector suite.
 Disabled-cost contract (same as :data:`repro.telemetry.NULL_RECORDER`):
 an observatory constructed with ``enabled=False`` registers **nothing**
 -- no step observer, no cluster attribute, no allocation -- so the
-simulation's event sequence and wall cost are bit-identical to running
-without one (held to <1% by the CI perf gate, see
+simulation's event sequence is identical to running without one (see
 ``docs/observability.md``).
 
 With a :class:`~repro.telemetry.Telemetry` attached, incidents mirror

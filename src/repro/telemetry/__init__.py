@@ -30,8 +30,7 @@ or process-global (what ``python -m repro.bench --trace`` does)::
 
 When no telemetry is attached, instrumented components hold the shared
 :data:`~repro.telemetry.spans.NULL_RECORDER` and each instrumentation
-point costs one attribute check (see ``tests/telemetry`` and the CI
-perf gate).
+point costs one attribute check (see ``tests/telemetry``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ on its ``enabled`` attribute::
 
 When telemetry is off the recorder is the shared :data:`NULL_RECORDER`
 whose ``enabled`` is ``False``, so the disabled cost is exactly one
-attribute check -- nothing is allocated, no method is called.  This is
-the contract the perf-smoke CI gate enforces on the engine hot paths.
+attribute check -- nothing is allocated, no method is called, and the
+run executes the same events as an uninstrumented one
+(``tests/telemetry/test_null_recorder.py``).
 
 Timestamps are passed in explicitly (callers read ``sim.now``): a
 recorder may serve many simulators over its lifetime, so it owns no

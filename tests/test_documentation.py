@@ -43,18 +43,70 @@ def test_design_md_test_targets_exist():
         assert (REPO / target).exists(), f"DESIGN.md references missing {target}"
 
 
+#: The documents whose citations and commands are checked below.
+DOCUMENTS = [REPO / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+DOCUMENTS += sorted((REPO / "docs").glob("*.md"))
+
+#: A committed ``benchmarks/results/`` file, or a repo-root JSON
+#: artifact: those are spelled in capitals (``BENCHMARK.json``), while
+#: lowercase names such as ``metrics.json`` are command outputs.
+CITED_FILE = re.compile(
+    r"benchmarks/results/[\w.-]*\w|(?<![\w/.-])[A-Z][A-Za-z0-9_]*\.json\b"
+)
+
+
 def test_cited_result_files_exist():
-    """Every ``benchmarks/results/<file>`` a document names is committed."""
-    documents = [REPO / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
-    documents += sorted((REPO / "docs").glob("*.md"))
+    """Every result file or repo-root JSON file a document names is committed."""
     cited = {
         (doc.name, path)
-        for doc in documents
-        for path in re.findall(r"benchmarks/results/[\w.-]*\w", doc.read_text())
+        for doc in DOCUMENTS
+        for path in CITED_FILE.findall(doc.read_text())
     }
-    assert cited, "the documents cite committed result files"
+    assert any(
+        path.startswith("benchmarks/results/") for _, path in cited
+    ), "the documents cite committed result files"
     missing = sorted((doc, path) for doc, path in cited if not (REPO / path).is_file())
-    assert not missing, f"documents cite result files that do not exist: {missing}"
+    assert not missing, f"documents cite files that do not exist: {missing}"
+
+
+def bench_commands(markdown: str):
+    """The argument text of every ``python -m repro.bench`` command.
+
+    Commands are taken from fenced code lines (backslash continuations
+    joined, ``#`` comments dropped) and from inline code spans, which
+    prose may wrap across lines.
+    """
+    fence = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+    lines = [
+        line.split("#", 1)[0]
+        for block in fence.findall(markdown)
+        for line in block.replace("\\\n", " ").splitlines()
+    ]
+    spans = [
+        " ".join(span.split())
+        for span in re.findall(r"`([^`]+)`", fence.sub("", markdown))
+    ]
+    command = "python -m repro.bench"
+    return [text.split(command, 1)[1] for text in lines + spans if command in text]
+
+
+def test_documented_bench_flags_exist(capsys):
+    """Every ``--flag`` a document passes to ``python -m repro.bench`` is
+    an option of its parser."""
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    options = set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out))
+    used = {
+        (doc.name, flag)
+        for doc in DOCUMENTS
+        for args in bench_commands(doc.read_text())
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", args)
+    }
+    assert used, "the documents show python -m repro.bench options"
+    unknown = sorted((doc, flag) for doc, flag in used if flag not in options)
+    assert not unknown, f"documents use unknown repro.bench options: {unknown}"
 
 
 def test_experiments_md_covers_every_figure_and_table():
