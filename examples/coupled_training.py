@@ -4,8 +4,9 @@ Unlike the other examples, nothing here is decoupled -- each iteration's
 error-feedback-compressed gradients are aggregated *by* the packet-level
 OmniReduce simulation, the optimizer consumes the network's output
 tensor, and the loss curve and communication timeline come from one
-self-consistent system.  The block-size autotuner picks the protocol's
-block size from a real gradient sample.
+self-consistent system.  The block-size autotuner runs each candidate
+block size through the flow-mode engine on a real gradient sample and
+keeps the fastest.
 
 Run:  python examples/coupled_training.py
 """
@@ -41,12 +42,15 @@ def main() -> None:
     iterations = 120
     compressor = lambda: BlockTopK(0.1, 64)
 
-    # Pick a block size from real compressed gradients (the §6.4 trade-off).
+    # Simulate each block size on real compressed gradients over this
+    # cluster and keep the fastest (the §6.4 trade-off).
     sample = gradient_sample(task, hidden, spec.workers, compressor)
-    choice = autotune_block_size(sample, candidates=(32, 64, 128, 256, 512))
+    choice = autotune_block_size(
+        sample, candidates=(32, 64, 128, 256, 512), spec=spec
+    )
     table = {bs: f"{t * 1e6:.0f}us" for bs, t in sorted(choice.predictions.items())}
     print(f"autotuned block size for 10% Block Top-k gradients: "
-          f"{choice.block_size}  {table}")
+          f"{choice.block_size}  (simulated {table})")
 
     print(f"\n{'setup':>24} {'final loss':>11} {'F1':>7} {'comm (ms)':>10} "
           f"{'wire (MB)':>10} {'total (ms)':>11}")

@@ -85,7 +85,6 @@ class _SlotBase:
         worker_hosts: Sequence[str],
         agg_host: str,
         block_size: int,
-        value_bytes: int = 4,
         reduction: str = "sum",
         deterministic: bool = False,
         port_suffix: str = "",
@@ -101,7 +100,6 @@ class _SlotBase:
         self.stream = stream_range.stream
         self.num_workers = num_workers
         self.worker_hosts = list(worker_hosts)
-        self.value_bytes = value_bytes
         self.reduction = reduction
         self.width = min(width, max(1, stream_range.num_blocks))
         # ``port_suffix`` isolates respawned generations of a stream from
@@ -125,7 +123,7 @@ class _SlotBase:
 
     def _multicast(self, result: ResultPacket) -> None:
         result.immediate = self._imm_base | len(result.lanes)
-        payload_bytes = result.payload_bytes(self.value_bytes)
+        payload_bytes = result.payload_bytes()
         for host in self.worker_hosts:
             self.endpoint.send(host, self._worker_port, result, payload_bytes, self.flow)
 
@@ -134,7 +132,7 @@ class _SlotBase:
             self.worker_hosts[worker_id],
             self._worker_port,
             result,
-            result.payload_bytes(self.value_bytes),
+            result.payload_bytes(),
             self.flow,
         )
 

@@ -4,28 +4,24 @@
 block sparsity (small blocks skip more zeros) and efficiency (large
 blocks amortize metadata and the bitmap kernel; Figure 15/16/20).  This
 utility automates that choice for a *given* gradient structure: it
-measures the block-sparsity curve on sample tensors and predicts the
-OmniReduce completion time per candidate block size with the §3.4
-bandwidth model extended by metadata, per-packet, and bitmap-kernel
-costs.
-
-The prediction is deliberately simple -- it ranks candidates, it does
-not forecast absolute times; `tests/core/test_autotune.py` checks the
-ranking against full simulations.
+runs each candidate block size through the flow-mode engine
+(:class:`~repro.core.flowreduce.FlowOmniReduce`) on the sample tensors
+and keeps the fastest.  There is no separate cost model to drift from
+the simulator: the ranking is the engine's own simulated time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..tensors.bitmap import BitmapCostModel, V100_BITMAP_MODEL
-from ..tensors.blocks import num_blocks
+from ..netsim.cluster import Cluster, ClusterSpec
+from ..netsim.flow import flow_view
 from ..tensors.metrics import global_block_density
-from .messages import OFFSET_BYTES, PACKET_FIXED_BYTES
-from .partition import fusion_width
+from .config import OmniReduceConfig
+from .flowreduce import FlowOmniReduce
 
 __all__ = ["AutotuneChoice", "autotune_block_size", "DEFAULT_CANDIDATES"]
 
@@ -42,67 +38,28 @@ class AutotuneChoice:
     union_density: Dict[int, float] = field(default_factory=dict)
 
 
-def _predict_time_s(
-    tensors: Sequence[np.ndarray],
-    block_size: int,
-    bandwidth_bps: float,
-    latency_s: float,
-    payload_budget: int,
-    per_packet_overhead_s: float,
-    bitmap_model: BitmapCostModel,
-    value_bytes: int = 4,
-) -> float:
-    length = np.ascontiguousarray(tensors[0]).reshape(-1).size
-    union = global_block_density(tensors, block_size)
-    blocks = num_blocks(length, block_size)
-    union_blocks = union * blocks
-    width = fusion_width(block_size, value_bytes, payload_budget)
-
-    # Downward path dominates (every worker receives the whole union);
-    # metadata charged per block, packet costs per fused packet.
-    data_bytes = union_blocks * block_size * value_bytes
-    metadata_bytes = union_blocks * 2 * OFFSET_BYTES
-    packets = union_blocks / width
-    wire_time = (data_bytes + metadata_bytes + packets * PACKET_FIXED_BYTES) * 8.0 / (
-        bandwidth_bps
-    )
-    packet_time = packets * per_packet_overhead_s
-    bitmap_time = bitmap_model.time_s(length, block_size)
-    return latency_s + wire_time + packet_time + bitmap_time
-
-
 def autotune_block_size(
     tensors: Sequence[np.ndarray],
-    bandwidth_gbps: float = 10.0,
-    latency_s: float = 5e-6,
     candidates: Sequence[int] = DEFAULT_CANDIDATES,
-    payload_budget: int = 16384,
-    per_packet_overhead_s: float = 0.3e-6,
-    bitmap_model: BitmapCostModel = V100_BITMAP_MODEL,
+    spec: Optional[ClusterSpec] = None,
 ) -> AutotuneChoice:
-    """Pick the block size minimizing predicted OmniReduce time for the
-    sparsity structure of ``tensors`` (one sample gradient per worker)."""
+    """Pick the block size minimizing simulated OmniReduce time for the
+    sparsity structure of ``tensors`` (one sample gradient per worker)
+    on ``spec``, by default one aggregator per worker."""
     if not tensors:
         raise ValueError("need at least one sample tensor")
     if not candidates:
         raise ValueError("need at least one candidate block size")
-    if bandwidth_gbps <= 0:
-        raise ValueError("bandwidth must be positive")
-    if any(c < 1 for c in candidates):
-        raise ValueError("block sizes must be >= 1")
+    if spec is None:
+        spec = ClusterSpec(workers=len(tensors), aggregators=len(tensors))
 
     predictions: Dict[int, float] = {}
     densities: Dict[int, float] = {}
     for block_size in candidates:
-        predictions[block_size] = _predict_time_s(
-            tensors,
-            block_size,
-            bandwidth_gbps * 1e9,
-            latency_s,
-            payload_budget,
-            per_packet_overhead_s,
-            bitmap_model,
+        engine = FlowOmniReduce(
+            flow_view(Cluster(spec)), OmniReduceConfig(block_size=block_size)
         )
+        predictions[block_size] = engine.allreduce(tensors).time_s
         densities[block_size] = global_block_density(tensors, block_size)
 
     best = min(predictions, key=predictions.get)

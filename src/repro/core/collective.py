@@ -29,6 +29,7 @@ from ..tensors.bitmap import V100_BITMAP_MODEL, BitmapCostModel
 from ..tensors.blocks import BlockView, num_blocks
 from .aggregator import RecoverySlotAggregator, SlotAggregator
 from .config import MAX_STREAMS, OmniReduceConfig
+from .messages import VALUE_BYTES
 from .partition import FusionLayout, fusion_width, plan_streams
 from .pending import PendingCollective
 from .prefetch import CopyEngine, PrefetchSchedule
@@ -322,7 +323,6 @@ class OmniReduce:
         features = config.features
         prefix = f"or{next(_operation_ids)}"
         start = cluster.sim.now
-        value_bytes = 4
 
         bitmap_delay = 0.0
         if config.charge_bitmap:
@@ -338,7 +338,7 @@ class OmniReduce:
             for worker_id in range(spec.workers):
                 start_delays[worker_id] += faults.worker_delay_s(worker_id)
 
-        tensor_bytes = total_elements * value_bytes
+        tensor_bytes = total_elements * VALUE_BYTES
         # Chunk-prefetch ablated: the whole tensor must be host-resident
         # before the first byte leaves.
         chunking = (
@@ -357,7 +357,7 @@ class OmniReduce:
         ]
 
         width = fusion_width(
-            config.block_size, value_bytes, self._payload_budget(), features.fusion
+            config.block_size, VALUE_BYTES, self._payload_budget(), features.fusion
         )
         plan = plan_streams(
             num_blocks(total_elements, config.block_size),
@@ -370,6 +370,36 @@ class OmniReduce:
                 f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
             )
         return prefix, start, bitmap_delay, start_delays, prefetches, width, plan
+
+    def _run_details(
+        self,
+        extra: Dict[str, float],
+        bitmap_delay: float,
+        width: int,
+        streams: int,
+        recovery: bool,
+    ) -> Dict[str, float]:
+        """The ``details`` both flat engines report: the engine's
+        ``extra`` entries, then the run set-up every OmniReduce run
+        shares."""
+        return {
+            **extra,
+            "bitmap_delay_s": bitmap_delay,
+            "fusion_width": width,
+            "streams": streams,
+            "recovery": float(recovery),
+            # Aggregator state is the slot pool: one (or two, with
+            # recovery's versioning) block-sized accumulators per lane
+            # per stream -- independent of both tensor size and worker
+            # count, the §3 space-complexity claim.
+            "aggregator_pool_bytes": float(
+                streams
+                * width
+                * self.config.block_size
+                * VALUE_BYTES
+                * (2 if recovery else 1)
+            ),
+        }
 
     def _run(
         self,
@@ -420,7 +450,6 @@ class OmniReduce:
         features = config.features
         sim = self.cluster.sim
         transport = self.cluster.transport
-        value_bytes = 4
         prefix, start, bitmap_delay, start_delays, prefetches, width, plan = (
             self._plan_run(self.cluster, tensors[0].size, worker_start_delays)
         )
@@ -499,7 +528,6 @@ class OmniReduce:
                 self.cluster.worker_hosts,
                 agg_host,
                 block_size=config.block_size,
-                value_bytes=value_bytes,
                 reduction=config.reduction,
                 deterministic=config.deterministic,
                 port_suffix=suffix,
@@ -521,7 +549,6 @@ class OmniReduce:
                     agg_host=agg_host,
                     layout=layouts[stream_range.stream][worker_id],
                     view=views[worker_id],
-                    value_bytes=value_bytes,
                     prefetch=prefetches[worker_id],
                     down_engine=down_engines[worker_id],
                     # Respawned generations start immediately: the bitmap
@@ -793,24 +820,9 @@ class OmniReduce:
                 complete=not halted[0],
                 fault_events=fault_events,
                 staleness=staleness,
-                details={
-                    **details_extra,
-                    "bitmap_delay_s": bitmap_delay,
-                    "fusion_width": width,
-                    "streams": len(plan),
-                    "recovery": float(recovery),
-                    # Aggregator state is the slot pool: one (or two, with
-                    # recovery's versioning) block-sized accumulators per
-                    # lane per stream -- independent of both tensor size
-                    # and worker count, the §3 space-complexity claim.
-                    "aggregator_pool_bytes": float(
-                        len(plan)
-                        * width
-                        * config.block_size
-                        * value_bytes
-                        * (2 if recovery else 1)
-                    ),
-                },
+                details=self._run_details(
+                    details_extra, bitmap_delay, width, len(plan), recovery
+                ),
             )
 
         return PendingCollective(sim, waits, finalize, name=prefix)

@@ -44,8 +44,6 @@ class FeatureSpec:
     #: field equals this; booleans use ``False``, ``backoff_factor``
     #: uses ``1.0``).
     off_value: object
-    #: Sim modes in which disabling the feature is observable.
-    modes: Tuple[str, ...] = ("packet", "flow")
 
 
 #: The feature catalog, in protocol order.  ``repro.ablation`` iterates
@@ -85,7 +83,6 @@ FEATURES: Dict[str, FeatureSpec] = {
             "exponential growth of the retransmission timeout "
             "(backoff_factor > 1); off = constant timeout",
             off_value=False,
-            modes=("packet",),
         ),
         FeatureSpec(
             "chunk_prefetch",

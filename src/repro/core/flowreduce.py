@@ -9,16 +9,17 @@ block masks, so the whole execution -- which worker sends which blocks
 in which round, every payload byte, every serialization delay -- can be
 precomputed as numpy array programs over the exact same formulas:
 
-* the **request schedule** per stream lane is the first-row block
-  followed by the sorted union of the workers' listed blocks in that
-  lane (provable by induction over Algorithm 1's ``next`` pointers);
-* a round completes at the delivery of its *last* responder packet,
-  where the responders of a round are exactly the workers whose bitmap
-  lists one of the requested blocks;
+* the **round schedule** -- requested blocks, responders and payload
+  bytes per stream and round -- is :func:`~repro.core.roundplan
+  .plan_rounds`, the one derivation of the lossless schedule;
+* a round completes at the delivery of its *last* responder packet;
 * every NIC stage is the packet kernel's ``max(ready, free) + cost``
   recurrence, evaluated with :func:`~repro.netsim.flow.cpu_chain` /
-  :func:`~repro.netsim.flow.serialize_chain` over per-host availability
-  scalars instead of one simulator event per packet.
+  :func:`~repro.netsim.flow.serialize_chain` over a
+  :class:`~repro.netsim.flow.HostLedger` (per-host availability arrays,
+  written back at submit time: the one reserve-at-begin write-back,
+  shared with :class:`~repro.core.rackreduce.FlowRackHierarchical`)
+  instead of one simulator event per packet.
 
 Equivalence contract (checked by the packet-vs-flow differential in
 ``repro.conformance`` and documented in ``docs/performance.md``):
@@ -52,15 +53,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..netsim.flow import FlowUnsupported, cpu_chain, require_flow_capable, serialize_chain
+from ..netsim.flow import FlowUnsupported, HostLedger, require_flow_capable, serialize_chain
 from ..telemetry.collect import TrafficSnapshot
 from ..tensors.blocks import num_blocks as _num_blocks
 from .collective import CollectiveResult, OmniReduce
+from .messages import VALUE_BYTES
 from .pending import PendingCollective
+from .roundplan import plan_rounds
 
 __all__ = ["FlowOmniReduce", "TIME_RTOL"]
 
@@ -74,6 +77,27 @@ TIME_RTOL = 0.02
 #: tests use it to compare flow-mode fold orders against the packet
 #: kernel's actual slot arrival orders.
 ORDER_TRACE: Optional[list] = None
+
+
+def _wire_map(wire_bytes: Callable[[int], int]) -> Callable[[np.ndarray], np.ndarray]:
+    """Memoised, vectorised ``transport.wire_bytes`` over payload arrays.
+
+    A run's payloads take few distinct values, each bounded by one
+    packet, so the memo is a table indexed by payload size (0: not yet
+    asked; no packet is 0 bytes on the wire) and each distinct value
+    costs one transport call per run."""
+    table = np.zeros(0, dtype=np.int64)
+
+    def wire(payload: np.ndarray) -> np.ndarray:
+        nonlocal table
+        top = int(payload.max())
+        if top >= table.size:
+            table = np.pad(table, (0, top + 1 - table.size))
+        for p in np.unique(payload[table[payload] == 0]).tolist():
+            table[p] = wire_bytes(p)
+        return table[payload]
+
+    return wire
 
 
 class FlowOmniReduce(OmniReduce):
@@ -97,7 +121,6 @@ class FlowOmniReduce(OmniReduce):
         spec = cluster.spec
         config = self.config
         features = config.features
-        lookahead = features.lookahead
         sim = cluster.sim
         transport = getattr(cluster.transport, "inner", cluster.transport)
         network = cluster.network
@@ -133,11 +156,10 @@ class FlowOmniReduce(OmniReduce):
             )
 
         # -- setup (shared with the packet engine) ------------------------
-        value_bytes = 4
         block_size = config.block_size
         num_workers = spec.workers
         total = int(np.asarray(tensors[0]).size)
-        prefix, start, bitmap_delay, start_delays, prefetches, width, plan = (
+        prefix, start, bitmap_delay, start_delays, prefetches, width, ranges = (
             self._plan_run(cluster, total, worker_start_delays)
         )
 
@@ -153,11 +175,10 @@ class FlowOmniReduce(OmniReduce):
         for worker_id, tensor in enumerate(tensors):
             flat[worker_id, :total] = tensor.reshape(-1)
         outputs = [flat[worker_id, :total] for worker_id in range(num_workers)]
-        tensor_bytes = total * value_bytes
+        tensor_bytes = total * VALUE_BYTES
 
         gdr = spec.gdr
         pcie_bps = spec.pcie_gbps * 1e9
-        recovery = False
         snapshot = TrafficSnapshot(cluster)
 
         # Non-zero masks drive everything: worker w transmits block b iff
@@ -168,57 +189,33 @@ class FlowOmniReduce(OmniReduce):
             nz = flat.reshape(num_workers, total_blocks, block_size).any(axis=2)
         else:
             nz = np.ones((num_workers, total_blocks), dtype=bool)
+        plan = plan_rounds(nz, ranges, width, features, block_size)
+        wire = _wire_map(transport.wire_bytes)
 
         # -- per-host NIC pipeline state ----------------------------------
         worker_hosts = list(cluster.worker_hosts)
         agg_hosts = list(cluster.aggregator_hosts)
-        host_names: List[str] = []
-        hidx: Dict[str, int] = {}
-        for name in worker_hosts + agg_hosts:
-            if name not in hidx:
-                hidx[name] = len(host_names)
-                host_names.append(name)
-        hosts = [network.host(name) for name in host_names]
-        num_hosts = len(hosts)
-        tx_free = np.array([h.tx_cpu_free_at for h in hosts])
-        eg_free = np.array([h.egress_free_at for h in hosts])
-        in_free = np.array([h.ingress_free_at for h in hosts])
-        rx_free = np.array([h.rx_cpu_free_at for h in hosts])
-        tx_cost = np.array([h.tx_cpu_cost_s for h in hosts])
-        rx_cost = np.array([h.rx_cpu_cost_s for h in hosts])
-        bw = np.array([h.bandwidth_bps for h in hosts])
-        latency = network.latency_s
-        widx = np.array([hidx[name] for name in worker_hosts])
-        if not np.array_equal(widx, np.arange(num_workers)):
-            # The cluster enumerates one distinct host per worker first,
-            # so worker state is always the leading slice of every host
-            # array; the bookings below bank on that to use views
-            # instead of scattered fancy indexing.
+        if len(set(worker_hosts)) != num_workers:
+            # The ledger then holds one row per worker first, so worker
+            # state is the leading slice of every host array; the
+            # bookings below bank on that to use views instead of
+            # scattered fancy indexing.
             raise FlowUnsupported(
                 "flow mode requires one distinct host per worker"
             )
-        sent_bytes = np.zeros(num_hosts, dtype=np.int64)
-        sent_pkts = np.zeros(num_hosts, dtype=np.int64)
-        recv_bytes = np.zeros(num_hosts, dtype=np.int64)
-        recv_pkts = np.zeros(num_hosts, dtype=np.int64)
+        ledger = HostLedger(network, worker_hosts + agg_hosts)
+        tx_free, eg_free, in_free, rx_free = (
+            ledger.tx_free, ledger.eg_free, ledger.in_free, ledger.rx_free
+        )
+        tx_cost, rx_cost, bw = ledger.tx_cost, ledger.rx_cost, ledger.bw
+        sent_bytes, sent_pkts = ledger.sent_bytes, ledger.sent_pkts
+        latency = network.latency_s
         up_bytes = 0
         down_bytes = 0
-        _wire_cache: Dict[int, int] = {}
-
-        def wire(payload_bytes: int) -> int:
-            cached = _wire_cache.get(payload_bytes)
-            if cached is None:
-                cached = transport.wire_bytes(payload_bytes)
-                _wire_cache[payload_bytes] = cached
-            return cached
 
         # Downward host->GPU copy engines (CopyEngine.reserve, vectorized).
         down_free = np.zeros(num_workers)
-        down_copied = np.zeros(num_workers, dtype=np.int64)
-        down_ops = np.zeros(num_workers, dtype=np.int64)
-
-        entry_bytes = 8  # two 4-byte offsets per lane entry
-        data_bytes = block_size * value_bytes
+        data_bytes = block_size * VALUE_BYTES
 
         # Vectorized PrefetchSchedule.available_at over worker subsets:
         # same chunk arithmetic as prefetch.py, as arrays.
@@ -239,120 +236,16 @@ class FlowOmniReduce(OmniReduce):
                 pf_start[workers_sel] + (chunk + 1) * pf_chunk_t,
             )
 
-        def wire_for(counts: np.ndarray, base: int, per: int) -> np.ndarray:
-            """Wire bytes of packets whose payload is ``base + count *
-            per`` bytes.  Only a few distinct counts occur per round, so
-            map through np.unique instead of calling wire() per packet."""
-            uniq, inv = np.unique(counts, return_inverse=True)
-            table = np.array(
-                [wire(base + int(c) * per) for c in uniq], dtype=np.int64
-            )
-            return table[inv]
-
-        # Response payloads are affine in the listed-lane count (at most
-        # the fusion width), so one table covers every (worker, round)
-        # response size.
-        resp_wire_table = np.array(
-            [
-                wire(4 + c * (entry_bytes + data_bytes))
-                for c in range(width + 1)
-            ],
-            dtype=np.int64,
-        )
-
-        # -- per-stream request schedules ---------------------------------
-        # Lane l of a stream requests position l first (the first row),
-        # then each later position in the lane that some worker lists.
-        streams = []
-        zero_suppressed = 0
-        for rng in plan:
-            lo, stride, nb = rng.lo, rng.stride, rng.num_blocks
-            lanes = min(width, nb)
-            blocks_arr = lo + stride * np.arange(nb)
-            mask = nz[:, blocks_arr]  # (workers, nb)
-            zero_suppressed += num_workers * nb - int(mask.sum())
-            any_b = mask.any(axis=0)
-            seqs = []
-            for lane in range(lanes):
-                pos = np.arange(lane, nb, lanes)
-                if lookahead:
-                    keep = any_b[pos]
-                    keep[0] = True  # the first row is always requested
-                    pos = pos[keep]
-                # Look-ahead ablated: every lane position is requested in
-                # turn (zero positions become metadata-only rounds).
-                seqs.append(pos)
-            lens = np.array([len(s) for s in seqs])
-            rounds = int(lens.max())
-            req = np.full((lanes, rounds), -1, dtype=np.int64)
-            for lane, seq in enumerate(seqs):
-                req[lane, : len(seq)] = seq
-            # Precompute every round's contribution geometry in one shot;
-            # the round loop then only books link time.
-            valid = req >= 0  # (lanes, rounds): lane still requesting?
-            listed = (
-                mask[:, np.where(valid, req, 0).ravel()].reshape(
-                    num_workers, lanes, rounds
-                )
-                & valid[None, :, :]
-            )  # listed[w, l, j]: worker w contributes lane l in round j
-            counts_all = listed.sum(axis=1)  # (workers, rounds)
-            data_lanes_all = listed.any(axis=0).sum(axis=0)  # (rounds,)
-            active_all = valid.sum(axis=0)  # (rounds,)
-            mc_sizes = wire_for(
-                4 + entry_bytes * active_all + data_lanes_all * data_bytes,
-                0,
-                1,
-            )
-            if lookahead:
-                # Responders carry one entry per *listed* lane: workers
-                # whose next pointer is further along stay silent.
-                resp_sizes = resp_wire_table[counts_all]
-                resp_mask = counts_all > 0
-            else:
-                # Every worker answers every round it still has valid
-                # lanes in, echoing metadata for zero positions, so the
-                # payload is one entry per active lane plus the listed
-                # data blocks.
-                payloads = (
-                    4 + entry_bytes * active_all[None, :] + counts_all * data_bytes
-                )
-                resp_sizes = wire_for(payloads.ravel(), 0, 1).reshape(
-                    payloads.shape
-                )
-                resp_mask = np.broadcast_to(
-                    active_all[None, :] > 0, counts_all.shape
-                )
-            deep_all = None
-            if not gdr:
-                # Deepest listed block per (worker, round): the prefetch
-                # gate.  Rows with no listing stay negative (never read).
-                deep_pos = np.where(listed, req[None, :, :], -1).max(axis=1)
-                deep_all = np.where(deep_pos >= 0, lo + stride * deep_pos, -1)
-            streams.append(
-                {
-                    "shard_host": hidx[agg_hosts[rng.shard]],
-                    "lo": lo,
-                    "stride": stride,
-                    "nb": nb,
-                    "lanes": lanes,
-                    "req": req,
-                    "lens": lens,
-                    "valid": valid,
-                    "listed": listed,
-                    "counts": counts_all,
-                    "dl": data_lanes_all,
-                    "active": active_all,
-                    "mc_sizes": mc_sizes,
-                    "resp_sizes": resp_sizes,
-                    "resp_mask": resp_mask,
-                    "deep": deep_all,
-                    "rounds": rounds,
-                    "order": None,  # arrival order of the pending round
-                }
-            )
+        streams = plan.streams
         num_streams = len(streams)
-        rounds_max = max((s["rounds"] for s in streams), default=0)
+        shard_hosts = np.array(
+            [ledger.index[agg_hosts[st.shard]] for st in streams], dtype=np.int64
+        )
+        mc_wire = [wire(st.mc_payload) for st in streams]
+        resp_wire = [wire(st.resp_payload) for st in streams]
+        # Arrival order of each stream's pending round: the only
+        # per-stream state the booking mutates.
+        order: List[Optional[np.ndarray]] = [None] * num_streams
 
         # The reduced tensor: zeros except aggregated blocks.  Blocks no
         # worker lists are all-zero at every worker, and metadata-only
@@ -365,14 +258,6 @@ class FlowOmniReduce(OmniReduce):
         wait_from = np.zeros((num_streams, num_workers))
         stall = np.zeros((num_streams, num_workers))
         finish_time = start
-
-        def lane_indices(blocks: np.ndarray):
-            """(rows, block_size) element indices into the padded buffer
-            plus a tail mask (padding positions past ``total``)."""
-            idx = blocks[:, None] * block_size + np.arange(block_size)[None, :]
-            if idx.size and idx[-1, -1] >= total:
-                return idx, idx >= total
-            return idx, None
 
         by_block = flat.reshape(num_workers, total_blocks, block_size)
 
@@ -436,27 +321,21 @@ class FlowOmniReduce(OmniReduce):
 
         identity_rank = np.arange(num_workers)
 
-        def fold_round(order, contrib, blocks) -> int:
+        def fold_round(arrival, contrib, blocks) -> None:
             """Replay the slot's sequential ``_combine`` folds for one
-            round; returns the number of data lanes (lanes with at least
-            one contributor).
-
-            In deterministic mode the result was precomputed above, so
-            only the lane count remains.  Otherwise the fold must follow
-            this round's arrival order bitwise-identically: each lane
-            folds its contributors in ``order`` with sequential
-            two-operand combines.  Vectorized as *passes*: pass ``k``
-            applies every lane's ``k``-th contributor at once (lanes are
-            independent, so per-lane sequencing is preserved exactly)."""
-            if order is None:
-                return int(contrib.any(axis=0).sum())
-            idx, tail = lane_indices(blocks)
-            rows_total = len(blocks)
+            round, bitwise-identically: each lane folds its contributors
+            in ``arrival`` order with sequential two-operand combines.
+            Vectorized as *passes*: pass ``k`` applies every lane's
+            ``k``-th contributor at once (lanes are independent, so
+            per-lane sequencing is preserved exactly)."""
             w_idx, l_idx = np.nonzero(contrib)
             if not len(w_idx):
-                return 0
+                return
+            # (rows, block_size) element indices into the padded buffer.
+            idx = blocks[:, None] * block_size + np.arange(block_size)[None, :]
+            rows_total = len(blocks)
             rank = np.empty(num_workers, dtype=np.int64)
-            rank[np.asarray(order)] = identity_rank[: len(order)]
+            rank[np.asarray(arrival)] = identity_rank[: len(arrival)]
             perm = np.lexsort((rank[w_idx], l_idx))
             w_sorted = w_idx[perm]
             l_sorted = l_idx[perm]
@@ -478,12 +357,13 @@ class FlowOmniReduce(OmniReduce):
                 else:
                     acc[rows] = np.minimum(acc[rows], vals)
             seen = counts > 0
-            if tail is not None:
-                keep = ~tail[seen]
+            # Lanes need not request blocks in ascending order, so the
+            # tail block (padding past ``total``) may sit in any row.
+            if (int(blocks.max()) + 1) * block_size > total:
+                keep = idx[seen] < total
                 result[idx[seen][keep]] = acc[seen][keep]
             else:
                 result[idx[seen]] = acc[seen]
-            return int(seen.sum())
 
         # -- round 0: every (stream, worker) sends its first-row packet ---
         # Send time: start delay, bitmap charge, then the prefetch gate of
@@ -493,16 +373,12 @@ class FlowOmniReduce(OmniReduce):
         t0 = np.empty((num_streams, num_workers))
         wire0 = np.empty((num_streams, num_workers), dtype=np.int64)
         for s, st in enumerate(streams):
-            wire0[s] = wire_for(
-                st["counts"][:, 0], 4 + entry_bytes * st["lanes"], data_bytes
-            )
+            wire0[s] = wire(st.round0_payload)
             t_s = base_t.copy()
             if not gdr:
-                sel = np.nonzero(st["counts"][:, 0] > 0)[0]
+                sel = np.nonzero(st.counts[:, 0] > 0)[0]
                 if len(sel):
-                    t_s[sel] = np.maximum(
-                        t_s[sel], avail_for(sel, st["deep"][sel, 0])
-                    )
+                    t_s[sel] = np.maximum(t_s[sel], avail_for(sel, st.deep[sel, 0]))
             t0[s] = t_s
             wait_from[s] = t_s
 
@@ -525,8 +401,8 @@ class FlowOmniReduce(OmniReduce):
         inv_bw_w = 8.0 / bw[:num_workers]
         sent_bytes_w = sent_bytes[:num_workers]
         sent_pkts_w = sent_pkts[:num_workers]
-        recv_bytes_w = recv_bytes[:num_workers]
-        recv_pkts_w = recv_pkts[:num_workers]
+        recv_bytes_w = ledger.recv_bytes[:num_workers]
+        recv_pkts_w = ledger.recv_pkts[:num_workers]
 
         # Each worker books its round-0 sends through its tx CPU and
         # egress NIC in (send time, stream) order: cpu_chain followed by
@@ -559,62 +435,48 @@ class FlowOmniReduce(OmniReduce):
 
         heap: list = []
         tie = itertools.count()
-        delivers0 = np.empty((num_streams, num_workers))
         flat_arr = arrivals0.ravel()
         flat_wire = wire0.ravel()
-        for h in sorted(set(int(st["shard_host"]) for st in streams)):
-            members = np.nonzero(
-                np.array([st["shard_host"] for st in streams])[s_ids] == h
-            )[0]
-            order = members[np.lexsort((gseq[members], flat_arr[members]))]
-            dur = flat_wire[order] * (8.0 / bw[h])
-            rx_done = serialize_chain(flat_arr[order], dur, in_free[h])
-            deliver = cpu_chain(rx_done, rx_cost[h], rx_free[h])
-            if len(deliver):
-                in_free[h] = rx_done[-1]
-                rx_free[h] = deliver[-1]
-            recv_bytes[h] += int(flat_wire[order].sum())
-            recv_pkts[h] += len(order)
-            delivers0[s_ids[order], w_ids[order]] = deliver
+        shard_of = shard_hosts[s_ids]
+        for h in np.unique(shard_hosts).tolist():
+            members = np.nonzero(shard_of == h)[0]
+            members = members[np.argsort(gseq[members])]  # send sequence
+            deliver, proc = ledger.recv_chain(h, flat_arr[members], flat_wire[members])
+            proc_members = members[proc]
             # Per stream: arrival order and completion time (chains are
             # nondecreasing, so the last occurrence is the max).
-            by_stream = np.argsort(s_ids[order], kind="stable")
-            seq_streams = s_ids[order][by_stream]
-            seq_workers = w_ids[order][by_stream]
-            seq_deliver = deliver[by_stream]
+            by_stream = np.argsort(s_ids[proc_members], kind="stable")
+            seq_streams = s_ids[proc_members][by_stream]
+            seq_workers = w_ids[proc_members][by_stream]
+            seq_deliver = deliver[proc][by_stream]
             bounds = np.searchsorted(
                 seq_streams, np.arange(num_streams + 1), side="left"
             )
             for s in np.unique(seq_streams):
                 a, b = bounds[s], bounds[s + 1]
-                streams[s]["order"] = seq_workers[a:b]
-                heapq.heappush(heap, (float(seq_deliver[b - 1]), next(tie), int(s)))
+                order[s] = seq_workers[a:b]
+                heapq.heappush(
+                    heap, (float(seq_deliver[b - 1]), next(tie), int(s), 0)
+                )
 
         # -- round loop: pop stream rounds in completion-time order -------
-        # All schedule-dependent quantities were precomputed per stream
-        # above; each iteration is pure link-time booking.
-        stream_round = [0] * num_streams
+        # The schedule is the plan's; each iteration is link-time booking.
         mc_steps = np.arange(1, num_workers + 1)
-        resp_seq = np.arange(num_workers)
         inv_pcie = 8.0 / pcie_bps
         while heap:
-            now_t, _, s = heapq.heappop(heap)
+            now_t, _, s, j = heapq.heappop(heap)
             st = streams[s]
-            j = stream_round[s]
-            stream_round[s] += 1
-            rounds = st["rounds"]
-            data_lanes = int(st["dl"][j])
             if ORDER_TRACE is not None:
-                ORDER_TRACE.append((s, j, tuple(int(w) for w in st["order"])))
+                ORDER_TRACE.append((s, j, tuple(int(w) for w in order[s])))
             if not deterministic:
-                valid_j = st["valid"][:, j]
-                blocks = st["lo"] + st["stride"] * st["req"][valid_j, j]
-                fold_round(st["order"], st["listed"][:, valid_j, j], blocks)
+                valid_j = st.valid[:, j]
+                blocks = st.lo + st.stride * st.req[valid_j, j]
+                fold_round(order[s], st.listed[:, valid_j, j], blocks)
 
             # Multicast j: booked on the shard host at the completion
             # time, one send per worker in worker order.
-            h = st["shard_host"]
-            size = int(st["mc_sizes"][j])
+            h = shard_hosts[s]
+            size = int(mc_wire[s][j])
             tx_ready = max(now_t, tx_free[h]) + mc_steps * tx_cost[h]
             dur = np.full(num_workers, size * 8.0 / bw[h])
             done = serialize_chain(tx_ready, dur, eg_free[h])
@@ -634,29 +496,28 @@ class FlowOmniReduce(OmniReduce):
             recv_pkts_w += 1
             stall[s] += deliver - wait_from[s]
             wait_from[s] = deliver
+            data_lanes = int(st.data_lanes[j])
             if data_lanes and not gdr:
                 nbytes = data_lanes * data_bytes
                 down_free[:] = np.maximum(deliver, down_free) + nbytes * inv_pcie
-                down_copied += nbytes
-                down_ops += 1
 
-            if j + 1 >= rounds:
+            if j + 1 >= st.rounds:
                 finish_time = max(finish_time, float(deliver.max()))
                 continue
 
             # Responses for round j+1: workers listing a requested block
             # (with look-ahead ablated: every worker with a valid lane).
-            resp = np.nonzero(st["resp_mask"][:, j + 1])[0]
+            resp = np.nonzero(st.resp_mask[:, j + 1])[0]
             if len(resp) == num_workers:
                 # Every worker responds (the common chatty case): book
                 # on the worker-state views with no fancy indexing.
                 send_at = deliver
                 if not gdr:
                     send_at = np.maximum(
-                        send_at, avail_for(resp, st["deep"][:, j + 1])
+                        send_at, avail_for(resp, st.deep[:, j + 1])
                     )
                 wait_from[s] = send_at
-                sizes = st["resp_sizes"][:, j + 1]
+                sizes = resp_wire[s][:, j + 1]
                 tx_ready = np.maximum(send_at, tx_free_w) + tx_cost_w
                 tx_free_w[:] = tx_ready
                 done = np.maximum(tx_ready, eg_free_w) + sizes * inv_bw_w
@@ -667,10 +528,10 @@ class FlowOmniReduce(OmniReduce):
                 send_at = deliver[resp]
                 if not gdr:
                     send_at = np.maximum(
-                        send_at, avail_for(resp, st["deep"][resp, j + 1])
+                        send_at, avail_for(resp, st.deep[resp, j + 1])
                     )
                 wait_from[s, resp] = send_at
-                sizes = st["resp_sizes"][resp, j + 1]
+                sizes = resp_wire[s][resp, j + 1]
                 tx_ready = np.maximum(send_at, tx_free_w[resp]) + tx_cost_w[resp]
                 tx_free_w[resp] = tx_ready
                 done = (
@@ -680,38 +541,15 @@ class FlowOmniReduce(OmniReduce):
                 eg_free_w[resp] = done
                 sent_bytes_w[resp] += sizes  # responder hosts are distinct
                 sent_pkts_w[resp] += 1
-            arr_n = done + latency
-            wire_total = int(sizes.sum())
-            up_bytes += wire_total
+            up_bytes += int(sizes.sum())
+            deliver_n, proc = ledger.recv_chain(h, done + latency, sizes)
+            order[s] = resp[proc]
+            heapq.heappush(heap, (float(deliver_n[proc[-1]]), next(tie), s, j + 1))
 
-            order_n = np.lexsort((resp_seq[: len(resp)], arr_n))
-            dur = sizes[order_n] * (8.0 / bw[h])
-            rx_done = serialize_chain(arr_n[order_n], dur, in_free[h])
-            deliver_n = cpu_chain(rx_done, rx_cost[h], rx_free[h])
-            in_free[h] = rx_done[-1]
-            rx_free[h] = deliver_n[-1]
-            recv_bytes[h] += wire_total
-            recv_pkts[h] += len(resp)
-            st["order"] = resp[order_n]
-            heapq.heappush(heap, (float(deliver_n[-1]), next(tie), s))
-
-        # -- write back shared state (reserve-at-begin) -------------------
         # NIC stages, stats, and copy engines reflect the whole run as of
-        # submit time: concurrent flow collectives queue behind it, and
-        # the traffic snapshot above keeps per-run deltas exact.
-        for i, host in enumerate(hosts):
-            host.tx_cpu_free_at = float(tx_free[i])
-            host.egress_free_at = float(eg_free[i])
-            host.ingress_free_at = float(in_free[i])
-            host.rx_cpu_free_at = float(rx_free[i])
-        stats = network.stats
-        for i, name in enumerate(host_names):
-            stats.bytes_sent[name] += int(sent_bytes[i])
-            stats.packets_sent[name] += int(sent_pkts[i])
-            stats.bytes_received[name] += int(recv_bytes[i])
-            stats.packets_received[name] += int(recv_pkts[i])
-        stats.flow_bytes[f"{prefix}.up"] += int(up_bytes)
-        stats.flow_bytes[f"{prefix}.down"] += int(down_bytes)
+        # submit time; the traffic snapshot above keeps per-run deltas
+        # exact.
+        ledger.commit({f"{prefix}.up": up_bytes, f"{prefix}.down": down_bytes})
 
         worker_wait_max = float(stall.max()) if stall.size else 0.0
         end_time = finish_time
@@ -727,15 +565,8 @@ class FlowOmniReduce(OmniReduce):
                 finish = max(finish, float(down_free.max()))
             details: Dict[str, float] = {}
             if features.zero_block_suppression:
-                details["zero_blocks_suppressed"] = float(zero_suppressed)
+                details["zero_blocks_suppressed"] = float(plan.zero_suppressed)
             details["worker_recv_wait_max_s"] = worker_wait_max
-            details["bitmap_delay_s"] = bitmap_delay
-            details["fusion_width"] = width
-            details["streams"] = len(plan)
-            details["recovery"] = float(recovery)
-            details["aggregator_pool_bytes"] = float(
-                len(plan) * width * block_size * value_bytes * (2 if recovery else 1)
-            )
             return CollectiveResult(
                 outputs=outputs,
                 time_s=finish - start,
@@ -743,7 +574,7 @@ class FlowOmniReduce(OmniReduce):
                 packets_sent=snapshot.packets_sent(),
                 upward_bytes=snapshot.flow_bytes(f"{prefix}.up"),
                 downward_bytes=snapshot.flow_bytes(f"{prefix}.down"),
-                rounds=rounds_max,
+                rounds=plan.rounds,
                 retransmissions=0,
                 duplicates=0,
                 timeouts_fired=0,
@@ -751,7 +582,9 @@ class FlowOmniReduce(OmniReduce):
                 complete=True,
                 fault_events=[],
                 staleness=None,
-                details=details,
+                details=self._run_details(
+                    details, bitmap_delay, width, num_streams, recovery=False
+                ),
             )
 
         return PendingCollective(sim, waits, finalize, name=prefix)

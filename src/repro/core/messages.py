@@ -16,6 +16,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+# Bytes of one float32 element on the wire (the sparse encodings' unit).
+from ..tensors.sparse import VALUE_BYTES
+
 __all__ = [
     "LaneEntry",
     "WorkerPacket",
@@ -112,7 +115,7 @@ class LaneEntry:
             f"next_block={self.next_block}, data={self.data!r})"
         )
 
-    def payload_bytes(self, value_bytes: int = 4) -> int:
+    def payload_bytes(self, value_bytes: int = VALUE_BYTES) -> int:
         size = 2 * OFFSET_BYTES  # block index + next offset
         if self.data is not None:
             size += self.data.size * value_bytes
@@ -151,7 +154,7 @@ class WorkerPacket:
             f"is_ack={self.is_ack}, immediate={self.immediate})"
         )
 
-    def payload_bytes(self, value_bytes: int = 4) -> int:
+    def payload_bytes(self, value_bytes: int = VALUE_BYTES) -> int:
         return _lanes_payload_bytes(self.lanes, value_bytes)
 
     @property
@@ -182,5 +185,5 @@ class ResultPacket:
             f"lanes={self.lanes!r}, immediate={self.immediate})"
         )
 
-    def payload_bytes(self, value_bytes: int = 4) -> int:
+    def payload_bytes(self, value_bytes: int = VALUE_BYTES) -> int:
         return _lanes_payload_bytes(self.lanes, value_bytes)

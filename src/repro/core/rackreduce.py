@@ -57,14 +57,10 @@ from ..baselines.common import (
     fresh_prefix,
     validate_equal_tensors,
 )
-from ..netsim.flow import (
-    FlowUnsupported,
-    cpu_chain,
-    require_flow_capable,
-    serialize_chain,
-)
+from ..netsim.flow import FlowUnsupported, HostLedger, require_flow_capable
 from ..tensors.accumulate import CooAccumulator
 from .features import DEFAULT_FEATURES, ProtocolFeatures
+from .messages import OFFSET_BYTES, VALUE_BYTES
 from .pending import PendingCollective
 
 __all__ = [
@@ -82,10 +78,10 @@ DEFAULT_SEGMENT_BYTES = 65536
 #: synchronous, so "nothing for you" is still announced.
 HEADER_BYTES = 8
 
-#: Per-block payload bytes: a 4-byte block id plus ``block_size`` float32
+#: Per-block payload bytes: a block id plus ``block_size`` float32
 #: values (the tail block is padded to full width on the wire).
 def _block_bytes(block_size: int) -> int:
-    return 4 + 4 * block_size
+    return OFFSET_BYTES + VALUE_BYTES * block_size
 
 
 class _Plan:
@@ -513,25 +509,14 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
 
         whosts = cluster.worker_hosts
         ahosts = cluster.aggregator_hosts
-        names = list(whosts) + list(ahosts)
-        hosts = [network.hosts[n] for n in names]
+        # Hosts are distinct (colocated shards are refused), so worker w
+        # is row w and aggregator j row workers + j.
+        ledger = HostLedger(network, list(whosts) + list(ahosts))
+        send_chain, recv_chain = ledger.send_chain, ledger.recv_chain
         topology = network.topology
         latency = network.latency_s
         seg_cap = min(self.segment_bytes, transport.max_payload_bytes())
         wire = transport.wire_bytes
-
-        n_hosts = len(hosts)
-        tx_free = np.array([h.tx_cpu_free_at for h in hosts])
-        eg_free = np.array([h.egress_free_at for h in hosts])
-        in_free = np.array([h.ingress_free_at for h in hosts])
-        rx_free = np.array([h.rx_cpu_free_at for h in hosts])
-        tx_cost = np.array([h.tx_cpu_cost_s for h in hosts])
-        rx_cost = np.array([h.rx_cpu_cost_s for h in hosts])
-        bw = np.array([h.bandwidth_bps for h in hosts])
-        sent_b = np.zeros(n_hosts, dtype=np.int64)
-        sent_p = np.zeros(n_hosts, dtype=np.int64)
-        recv_b = np.zeros(n_hosts, dtype=np.int64)
-        recv_p = np.zeros(n_hosts, dtype=np.int64)
         up_bytes = 0
         down_bytes = 0
 
@@ -539,37 +524,6 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
         leaders = plan.leaders
         nracks = len(racks)
         s = np.asarray(delays, dtype=np.float64) + start
-
-        def send_chain(h: int, at: float, sizes: np.ndarray) -> np.ndarray:
-            """Book ``sizes`` through host ``h``'s tx CPU + egress at
-            one send-call instant; returns egress-exit times."""
-            ready = cpu_chain(np.full(sizes.size, at), tx_cost[h], tx_free[h])
-            tx_free[h] = ready[-1]
-            done = serialize_chain(ready, sizes * (8.0 / bw[h]), eg_free[h])
-            eg_free[h] = done[-1]
-            sent_b[h] += int(sizes.sum())
-            sent_p[h] += sizes.size
-            return done
-
-        def recv_chain(
-            h: int, arrivals: np.ndarray, sizes: np.ndarray
-        ) -> Tuple[np.ndarray, np.ndarray]:
-            """Book arrivals through host ``h``'s ingress + rx CPU in
-            the packet kernel's processing order (stable by arrival
-            time; the caller pre-orders ties by send sequence).  Returns
-            ``(deliver_times_in_input_order, processing_order)``."""
-            order = np.argsort(arrivals, kind="stable")
-            rx_done = serialize_chain(
-                arrivals[order], sizes[order] * (8.0 / bw[h]), in_free[h]
-            )
-            in_free[h] = rx_done[-1]
-            deliver = cpu_chain(rx_done, rx_cost[h], rx_free[h])
-            rx_free[h] = deliver[-1]
-            recv_b[h] += int(sizes.sum())
-            recv_p[h] += sizes.size
-            out = np.empty_like(deliver)
-            out[order] = deliver
-            return out, order
 
         # Segment framing repeats across messages (payloads are all
         # ``seg_cap`` except the tail), so wire sizes are one np.full
@@ -682,20 +636,7 @@ class FlowRackHierarchical(RackHierarchicalOmniReduce):
                 deliver, _ = recv_chain(m, arr, sz2)
                 end_time = max(end_time, float(deliver[-1]))
 
-        # ---- write back shared state (reserve-at-begin) ------------------
-        for i, host in enumerate(hosts):
-            host.tx_cpu_free_at = float(tx_free[i])
-            host.egress_free_at = float(eg_free[i])
-            host.ingress_free_at = float(in_free[i])
-            host.rx_cpu_free_at = float(rx_free[i])
-        stats = network.stats
-        for i, name in enumerate(names):
-            stats.bytes_sent[name] += int(sent_b[i])
-            stats.packets_sent[name] += int(sent_p[i])
-            stats.bytes_received[name] += int(recv_b[i])
-            stats.packets_received[name] += int(recv_p[i])
-        stats.flow_bytes[up_flow] += up_bytes
-        stats.flow_bytes[down_flow] += down_bytes
+        ledger.commit({up_flow: up_bytes, down_flow: down_bytes})
 
         def waits():
             yield sim.timeout(max(0.0, end_time - sim.now))

@@ -22,7 +22,7 @@ from ..netsim.kernel import Simulator
 from ..netsim.transport import Endpoint, Transport
 from ..telemetry.spans import NULL_RECORDER
 from ..tensors.blocks import BlockView, INFINITY
-from .messages import LaneEntry, ResultPacket, WorkerPacket, encode_immediate
+from .messages import VALUE_BYTES, LaneEntry, ResultPacket, WorkerPacket, encode_immediate
 from .partition import FusionLayout
 from .prefetch import CopyEngine, PrefetchSchedule
 
@@ -59,7 +59,6 @@ class _StreamWorkerBase:
         agg_host: str,
         layout: FusionLayout,
         view: BlockView,
-        value_bytes: int = 4,
         prefetch: Optional[PrefetchSchedule] = None,
         down_engine: Optional[CopyEngine] = None,
         start_delay_s: float = 0.0,
@@ -83,7 +82,6 @@ class _StreamWorkerBase:
         # results may already be stored, so crash-capable runs pass a
         # separate contribution view.
         self.contrib = contrib_view if contrib_view is not None else view
-        self.value_bytes = value_bytes
         self.prefetch = prefetch
         self.down_engine = down_engine
         self.readiness = readiness
@@ -125,7 +123,7 @@ class _StreamWorkerBase:
         produced (readiness schedule, compute/comm overlap) *and* its
         bytes are host-resident (chunk prefetch)."""
         available = self.sim.now
-        end_byte = (block + 1) * self.layout.view.block_size * self.value_bytes
+        end_byte = (block + 1) * self.layout.view.block_size * VALUE_BYTES
         if self.readiness is not None:
             offset = min(end_byte, self.readiness.total_bytes) if hasattr(
                 self.readiness, "total_bytes"
@@ -158,7 +156,7 @@ class _StreamWorkerBase:
                     flat[start:end] = data
                 else:
                     flat[start:flat_size] = data[: flat_size - start]
-                nbytes += data.size * self.value_bytes
+                nbytes += data.size * VALUE_BYTES
         if nbytes and self.down_engine is not None:
             self.down_engine.reserve(nbytes, self.sim.now)
 
@@ -193,7 +191,7 @@ class _StreamWorkerBase:
             self.agg_host,
             self.agg_port,
             packet,
-            packet.payload_bytes(self.value_bytes),
+            packet.payload_bytes(),
             flow=self.flow,
         )
         self.stats.packets_sent += 1

@@ -24,9 +24,11 @@ Two layers build on it:
   message, instead of per-segment ingress + delivery + receiver
   resumption).  Every baseline collective gains flow mode this way,
   unchanged.
-* :class:`~repro.core.flowreduce.FlowOmniReduce` uses the chain helpers
-  below to collapse whole protocol rounds into vectorized numpy over the
-  same formulas (that is where the >=100x comes from).
+* the analytic engines (:class:`~repro.core.flowreduce.FlowOmniReduce`,
+  :class:`~repro.core.rackreduce.FlowRackHierarchical`) use the chain
+  helpers and :class:`HostLedger` below to collapse whole protocol
+  rounds into vectorized numpy over the same formulas (that is where
+  the >=100x comes from).
 
 Multi-tier topologies (:mod:`repro.netsim.topology`) are supported:
 the packet kernel books the shared uplink/downlink/spine pipes
@@ -48,7 +50,7 @@ guarantees.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +65,7 @@ __all__ = [
     "FlowCluster",
     "flow_view",
     "require_flow_capable",
+    "HostLedger",
     "cpu_chain",
     "serialize_chain",
 ]
@@ -154,6 +157,93 @@ def serialize_chain(
     prev = cum - durations
     base = np.maximum.accumulate(np.maximum(ready, free0) - prev)
     return base + cum
+
+
+class HostLedger:
+    """Per-host NIC pipeline state of one analytic flow-mode collective.
+
+    The vectorized engines (:class:`~repro.core.flowreduce
+    .FlowOmniReduce`, :class:`~repro.core.rackreduce
+    .FlowRackHierarchical`) book a whole collective at submit time
+    against arrays snapshotted from the hosts' stage availability
+    (``Host.tx_cpu_free_at`` and friends), then :meth:`commit` writes the
+    outcome back: the *reserve-at-begin* contract.  Concurrent flow
+    collectives queue behind the booked run, and a traffic snapshot
+    taken before the booking keeps per-run counter deltas exact.
+
+    Rows follow the first occurrence of each name in ``names`` (a
+    colocated aggregator shares its worker's row); ``index`` maps names
+    to rows.
+    """
+
+    def __init__(self, network: Network, names: Sequence[str]) -> None:
+        self.network = network
+        self.index = {}
+        self.names: List[str] = []
+        for name in names:
+            if name not in self.index:
+                self.index[name] = len(self.names)
+                self.names.append(name)
+        hosts = self.hosts = [network.hosts[name] for name in self.names]
+        self.tx_free = np.array([h.tx_cpu_free_at for h in hosts])
+        self.eg_free = np.array([h.egress_free_at for h in hosts])
+        self.in_free = np.array([h.ingress_free_at for h in hosts])
+        self.rx_free = np.array([h.rx_cpu_free_at for h in hosts])
+        self.tx_cost = np.array([h.tx_cpu_cost_s for h in hosts])
+        self.rx_cost = np.array([h.rx_cpu_cost_s for h in hosts])
+        self.bw = np.array([h.bandwidth_bps for h in hosts])
+        self.sent_bytes = np.zeros(len(hosts), dtype=np.int64)
+        self.sent_pkts = np.zeros(len(hosts), dtype=np.int64)
+        self.recv_bytes = np.zeros(len(hosts), dtype=np.int64)
+        self.recv_pkts = np.zeros(len(hosts), dtype=np.int64)
+
+    def send_chain(self, h: int, at: float, sizes: np.ndarray) -> np.ndarray:
+        """Book wire ``sizes`` through host ``h``'s tx CPU + egress at
+        one send-call instant; returns egress-exit times."""
+        ready = cpu_chain(np.full(sizes.size, at), self.tx_cost[h], self.tx_free[h])
+        self.tx_free[h] = ready[-1]
+        done = serialize_chain(ready, sizes * (8.0 / self.bw[h]), self.eg_free[h])
+        self.eg_free[h] = done[-1]
+        self.sent_bytes[h] += int(sizes.sum())
+        self.sent_pkts[h] += sizes.size
+        return done
+
+    def recv_chain(
+        self, h: int, arrivals: np.ndarray, sizes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Book arrivals through host ``h``'s ingress + rx CPU in the
+        packet kernel's processing order (stable by arrival time; the
+        caller pre-orders ties by send sequence).  Returns
+        ``(deliver_times_in_input_order, processing_order)``."""
+        order = np.argsort(arrivals, kind="stable")
+        rx_done = serialize_chain(
+            arrivals[order], sizes[order] * (8.0 / self.bw[h]), self.in_free[h]
+        )
+        self.in_free[h] = rx_done[-1]
+        deliver = cpu_chain(rx_done, self.rx_cost[h], self.rx_free[h])
+        self.rx_free[h] = deliver[-1]
+        self.recv_bytes[h] += int(sizes.sum())
+        self.recv_pkts[h] += sizes.size
+        out = np.empty_like(deliver)
+        out[order] = deliver
+        return out, order
+
+    def commit(self, flow_bytes: Dict[str, int]) -> None:
+        """Write the booked stage times, per-host counters and per-flow
+        wire bytes back to the hosts and ``network.stats``."""
+        for i, host in enumerate(self.hosts):
+            host.tx_cpu_free_at = float(self.tx_free[i])
+            host.egress_free_at = float(self.eg_free[i])
+            host.ingress_free_at = float(self.in_free[i])
+            host.rx_cpu_free_at = float(self.rx_free[i])
+        stats = self.network.stats
+        for i, name in enumerate(self.names):
+            stats.bytes_sent[name] += int(self.sent_bytes[i])
+            stats.packets_sent[name] += int(self.sent_pkts[i])
+            stats.bytes_received[name] += int(self.recv_bytes[i])
+            stats.packets_received[name] += int(self.recv_pkts[i])
+        for flow, nbytes in flow_bytes.items():
+            stats.flow_bytes[flow] += int(nbytes)
 
 
 # ---------------------------------------------------------------------------

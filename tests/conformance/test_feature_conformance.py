@@ -69,9 +69,7 @@ def test_single_feature_off_matches_oracle_flow(feature, workers, seed):
     assert report.ok, report.summary()
 
 
-@pytest.mark.parametrize(
-    "feature", [f for f in FEATURE_NAMES if "packet" in FEATURES[f].modes]
-)
+@pytest.mark.parametrize("feature", FEATURE_NAMES)
 def test_single_feature_off_survives_loss(feature):
     """Lossy dpdk: ablations compose with Algorithm 2 recovery."""
     report = run_case(

@@ -94,11 +94,6 @@ class TestCatalog:
         }
         assert len(FEATURES) == 6
 
-    def test_mode_restrictions(self):
-        assert FEATURES["retransmit_backoff"].modes == ("packet",)
-        for name in ("lookahead", "fusion", "zero_block_suppression"):
-            assert set(FEATURES[name].modes) == {"packet", "flow"}
-
     def test_labels_follow_catalog_order(self):
         assert [name for name, _ in DEFAULT_FEATURES.labels()] == list(FEATURES)
 

@@ -75,6 +75,23 @@ def test_flow_engine_matches_on_non_divisible_tail():
     _assert_equivalent(packet, flow)
 
 
+def test_flow_engine_folds_tail_block_requested_by_an_early_lane():
+    """Lanes need not request blocks in ascending order: here lane 0
+    asks for the tail block 4 in the same round lane 1 asks for block
+    3, so the tail sits in the fold's first row, not its last."""
+    bs = 4
+    tensors = [np.zeros(4 * bs + 2, np.float32) for _ in range(2)]
+    tensors[0][[0, bs, 3 * bs]] = 1.0, 2.0, 3.0
+    tensors[1][4 * bs + 1] = 4.0
+    config = OmniReduceConfig(
+        block_size=bs, message_bytes=2 * (bs * 4 + 8) + 4, streams_per_shard=1
+    )
+    packet, flow = _run_pair(config=config, workers=2, aggregators=1,
+                             tensors=tensors)
+    assert flow.details["fusion_width"] == 2
+    _assert_equivalent(packet, flow)
+
+
 def test_flow_engine_matches_on_all_zero_input():
     tensors = _tensors(pattern="all-zero")
     packet, flow = _run_pair(tensors=tensors)

@@ -127,7 +127,7 @@ def test_docs_reference_real_modules():
 
 
 def test_examples_are_importable():
-    """Every example compiles (full runs are exercised separately)."""
+    """Every example compiles (the CI ``examples`` row runs them all)."""
     for example in sorted((REPO / "examples").glob("*.py")):
         source = example.read_text()
         compile(source, str(example), "exec")
