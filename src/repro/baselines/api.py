@@ -29,7 +29,7 @@ from ..core.collective import CollectiveResult, OmniReduce
 from ..core.config import OmniReduceConfig
 from ..core.features import ProtocolFeatures
 from ..core.flowreduce import FlowOmniReduce
-from ..core.pending import PendingCollective
+from ..core.pending import PendingCollective, PendingResult
 from ..core.rackreduce import (
     DEFAULT_RACK_SIZE,
     DEFAULT_SEGMENT_BYTES,
@@ -40,12 +40,7 @@ from ..netsim.cluster import Cluster
 from ..netsim.flow import flow_view
 from ..tensors.convert import DEFAULT_CONVERSION_MODEL, ConversionCostModel
 from .agsparse import AGsparseAllReduce
-from .collectives import (
-    begin_ring_allgather,
-    begin_tree_broadcast,
-    ring_allgather,
-    tree_broadcast,
-)
+from .collectives import begin_ring_allgather, begin_tree_broadcast
 from .halving_doubling import HalvingDoublingAllReduce
 from .parallax import ParallaxAllReduce
 from .ps import ParameterServerAllReduce
@@ -253,62 +248,6 @@ def _sim_cluster(cluster: Cluster, options: Options) -> Cluster:
 # ---------------------------------------------------------------------------
 
 
-class PendingResult:
-    """Handle to a collective submitted on a :class:`Session`.
-
-    Two ways to consume it:
-
-    * ``wait()`` -- drive the simulator to completion and return the
-      :class:`~repro.core.collective.CollectiveResult`; bit-identical to
-      having called the synchronous method directly.
-    * ``event`` -- a kernel event firing (with the result as its value)
-      when the operation completes; accessing it switches the operation
-      to cooperative execution, letting other in-flight collectives
-      share the clock.  The caller (e.g. the multi-job service) then
-      drives the simulator however it likes.
-    """
-
-    def __init__(self, session: "Session", pending: PendingCollective, frame=None):
-        self._session = session
-        self._pending = pending
-        self._frame = frame
-        self._hooked = False
-
-    def _close_frame(self, result) -> None:
-        if self._frame is not None:
-            self._session.telemetry.collective_close(self._frame, result)
-
-    @property
-    def done(self) -> bool:
-        return self._pending.done
-
-    @property
-    def event(self):
-        """Completion event; starts cooperative execution if idle."""
-        ev = self._pending.event
-        if not self._hooked:
-            self._hooked = True
-            if self._frame is not None:
-                ev.add_callback(lambda fired: self._close_frame(fired.value))
-        return ev
-
-    def wait(self) -> CollectiveResult:
-        """Block (in virtual time) until completion; returns the result."""
-        result = self._pending.wait()
-        if not self._hooked:
-            self._close_frame(result)
-        return result
-
-    def result(self) -> CollectiveResult:
-        """The finished result; raises if still in flight."""
-        return self._pending.result()
-
-    def map(self, fn) -> "PendingResult":
-        """Apply ``fn`` to the result at completion; returns ``self``."""
-        self._pending.map(fn)
-        return self
-
-
 class Session:
     """One algorithm bound to one cluster, ready to run collectives.
 
@@ -317,23 +256,22 @@ class Session:
     native AllGather/Broadcast inherit the dense ring AllGather and
     binomial-tree Broadcast fallbacks.
 
-    Two execution surfaces share one engine layer:
-
-    * synchronous -- ``allreduce``/``allgather``/``broadcast`` drive the
-      simulator to completion and return the result;
-    * non-blocking -- ``submit``/``submit_allgather``/``submit_broadcast``
-      spawn the protocol processes and return a :class:`PendingResult`,
-      so several operations (or several jobs) can interleave on one
-      simulator.
+    Each collective has a non-blocking form --
+    ``submit``/``submit_allgather``/``submit_broadcast`` spawn the
+    protocol processes and return a
+    :class:`~repro.core.pending.PendingResult`, so several operations
+    (or several jobs) can interleave on one simulator -- and a blocking
+    form, ``allreduce``/``allgather``/``broadcast``, which is that
+    handle's ``wait()``.  Subclasses implement only the ``_submit*``
+    hooks.
 
     Sessions are context managers: ``close()`` (idempotent, also called
     by ``__exit__``) detaches the session's telemetry from the cluster
     and rejects further collectives.
 
-    Every public collective is recorded through the session's telemetry
+    Every collective is recorded through the session's telemetry
     (``options.telemetry``, falling back to ``cluster.telemetry``) when
-    one is present; subclasses implement the ``_``-prefixed hooks so the
-    recording wrapper applies uniformly to all algorithms.
+    one is present: the handle opens one frame per operation.
     """
 
     def __init__(
@@ -395,82 +333,45 @@ class Session:
                 f"session for {self.algorithm!r} is closed; prepare a new one"
             )
 
-    # -- synchronous surface -------------------------------------------------
-
-    def _recorded(self, run) -> CollectiveResult:
-        tele = self.telemetry
-        if tele is None:
-            return run()
-        with tele.collective(
-            self.algorithm, self.cluster, features=self.features
-        ) as op:
-            result = run()
-            if op is not None:
-                op.result = result
-            return result
+    # -- blocking surface ----------------------------------------------------
 
     def allreduce(
         self, tensors: Sequence[np.ndarray], **kwargs
     ) -> CollectiveResult:
-        self._check_open()
-        return self._recorded(lambda: self._allreduce(tensors, **kwargs))
+        return self.submit(tensors, **kwargs).wait()
 
     def allgather(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
-        self._check_open()
-        return self._recorded(lambda: self._allgather(tensors))
+        return self.submit_allgather(tensors).wait()
 
     def broadcast(self, tensor: np.ndarray, root: int = 0) -> CollectiveResult:
-        self._check_open()
-        return self._recorded(lambda: self._broadcast(tensor, root))
+        return self.submit_broadcast(tensor, root=root).wait()
 
     # -- non-blocking surface ------------------------------------------------
 
     def _submitted(self, begin) -> PendingResult:
-        frame = None
-        if self.telemetry is not None:
-            frame = self.telemetry.collective_open(
-                self.algorithm, self.cluster, features=self.features
-            )
-        try:
-            pending = begin()
-        except BaseException:
-            if frame is not None:
-                self.telemetry.collective_close(frame)
-            raise
-        return PendingResult(self, pending, frame)
+        self._check_open()
+        return PendingResult(
+            self.telemetry, self.algorithm, self.cluster, begin, self.features
+        )
 
     def submit(self, tensors: Sequence[np.ndarray], **kwargs) -> PendingResult:
         """Begin an AllReduce without driving the clock.
 
-        ``submit(t).wait()`` is bit-identical to ``allreduce(t)``; using
-        the returned handle's ``event`` instead runs the operation
-        cooperatively alongside others on the same simulator.
+        ``allreduce(t)`` is ``submit(t).wait()``; using the returned
+        handle's ``event`` instead runs the operation cooperatively
+        alongside others on the same simulator.
         """
-        self._check_open()
         return self._submitted(lambda: self._submit(tensors, **kwargs))
 
     def submit_allgather(self, tensors: Sequence[np.ndarray]) -> PendingResult:
         """Begin an AllGather without driving the clock."""
-        self._check_open()
         return self._submitted(lambda: self._submit_allgather(tensors))
 
     def submit_broadcast(self, tensor: np.ndarray, root: int = 0) -> PendingResult:
         """Begin a Broadcast without driving the clock."""
-        self._check_open()
         return self._submitted(lambda: self._submit_broadcast(tensor, root))
 
     # -- algorithm hooks -----------------------------------------------------
-
-    def _allreduce(
-        self, tensors: Sequence[np.ndarray], **kwargs
-    ) -> CollectiveResult:
-        raise NotImplementedError
-
-    def _allgather(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
-        return ring_allgather(self.cluster, tensors)
-
-    def _broadcast(self, tensor: np.ndarray, root: int) -> CollectiveResult:
-        return tree_broadcast(self.cluster, tensor, root=root)
 
     def _submit(
         self, tensors: Sequence[np.ndarray], **kwargs
@@ -498,11 +399,6 @@ class _EngineSession(Session):
         super().__init__(cluster, options, algorithm, features)
         self.engine = engine
 
-    def _allreduce(
-        self, tensors: Sequence[np.ndarray], **kwargs
-    ) -> CollectiveResult:
-        return self.engine.allreduce(tensors, **kwargs)
-
     def _submit(
         self, tensors: Sequence[np.ndarray], **kwargs
     ) -> PendingCollective:
@@ -511,17 +407,6 @@ class _EngineSession(Session):
 
 class OmniReduceSession(_EngineSession):
     """OmniReduce session: all three collectives are native (§7)."""
-
-    def _allgather(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
-        return self.engine.allgather(tensors)
-
-    def _broadcast(self, tensor: np.ndarray, root: int) -> CollectiveResult:
-        return self.engine.broadcast(tensor, root=root)
-
-    def _submit(
-        self, tensors: Sequence[np.ndarray], **kwargs
-    ) -> PendingCollective:
-        return self.engine.begin_allreduce(tensors, **kwargs)
 
     def _submit_allgather(self, tensors: Sequence[np.ndarray]) -> PendingCollective:
         return self.engine.begin_allgather(tensors)

@@ -57,6 +57,5 @@ class SwitchMLAllReduce:
         return self._stamp(self._omni.allreduce(tensors))
 
     def begin(self, tensors: Sequence[np.ndarray]) -> PendingCollective:
-        """Cooperative variant; skips the engine's telemetry frame (the
-        caller owns recording for in-flight operations)."""
-        return self._omni.begin_allreduce(tensors).map(self._stamp)
+        """Non-blocking :meth:`allreduce` (records nothing)."""
+        return self._omni.begin(tensors).map(self._stamp)

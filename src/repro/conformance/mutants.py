@@ -57,33 +57,39 @@ def _is_flow(options: Optional[Options]) -> bool:
     return getattr(options, "sim_mode", "packet") == "flow"
 
 
-class _CorruptingSession(Session):
-    """Delegates to the real session, then corrupts the result."""
+class _WrappedSession(Session):
+    """Delegates to the real session, passing every AllReduce result
+    through :meth:`_alter`; the blocking calls inherit
+    ``submit(...).wait()``."""
 
     def __init__(self, inner: Session) -> None:
         super().__init__(inner.cluster, inner.options)
         self._inner = inner
 
+    def _alter(self, result: CollectiveResult) -> CollectiveResult:
+        raise NotImplementedError
+
+    def submit(self, tensors: Sequence[np.ndarray], **kwargs):
+        return self._inner.submit(tensors, **kwargs).map(self._alter)
+
+    def submit_allgather(self, tensors: Sequence[np.ndarray]):
+        return self._inner.submit_allgather(tensors)
+
+    def submit_broadcast(self, tensor: np.ndarray, root: int = 0):
+        return self._inner.submit_broadcast(tensor, root=root)
+
+
+class _CorruptingSession(_WrappedSession):
+    """Delegates to the real session, then corrupts the result."""
+
     @staticmethod
-    def _corrupt(result: CollectiveResult) -> CollectiveResult:
+    def _alter(result: CollectiveResult) -> CollectiveResult:
         if result.outputs and result.outputs[0].size:
             # Flip one element on one worker: breaks the oracle check on
             # worker 0 and the agreement check between workers.
             result.outputs[0] = result.outputs[0].copy()
             result.outputs[0][0] += 1.0
         return result
-
-    def allreduce(self, tensors: Sequence[np.ndarray], **kwargs) -> CollectiveResult:
-        return self._corrupt(self._inner.allreduce(tensors, **kwargs))
-
-    def submit(self, tensors: Sequence[np.ndarray], **kwargs):
-        return self._inner.submit(tensors, **kwargs).map(self._corrupt)
-
-    def allgather(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
-        return self._inner.allgather(tensors)
-
-    def broadcast(self, tensor: np.ndarray, root: int = 0) -> CollectiveResult:
-        return self._inner.broadcast(tensor, root=root)
 
 
 class BrokenResultCollective(Collective):
@@ -197,35 +203,19 @@ class FlowSerializationSkewCollective(Collective):
         return self.inner.prepare(cluster, options)
 
 
-class _ZeroBillSession(Session):
+class _ZeroBillSession(_WrappedSession):
     """Delegates to the real session, then bills the suppressed blocks."""
 
     #: Wire bytes charged per phantom zero block (any nonzero amount
     #: breaks the differential's exact counter equality).
     BILL_BYTES = 256
 
-    def __init__(self, inner: Session) -> None:
-        super().__init__(inner.cluster, inner.options)
-        self._inner = inner
-
-    def _bill(self, result: CollectiveResult) -> CollectiveResult:
+    def _alter(self, result: CollectiveResult) -> CollectiveResult:
         suppressed = int(result.details.get("zero_blocks_suppressed", 0))
         result.bytes_sent += suppressed * self.BILL_BYTES
         result.packets_sent += suppressed
         result.upward_bytes += suppressed * self.BILL_BYTES
         return result
-
-    def allreduce(self, tensors: Sequence[np.ndarray], **kwargs) -> CollectiveResult:
-        return self._bill(self._inner.allreduce(tensors, **kwargs))
-
-    def submit(self, tensors: Sequence[np.ndarray], **kwargs):
-        return self._inner.submit(tensors, **kwargs).map(self._bill)
-
-    def allgather(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
-        return self._inner.allgather(tensors)
-
-    def broadcast(self, tensor: np.ndarray, root: int = 0) -> CollectiveResult:
-        return self._inner.broadcast(tensor, root=root)
 
 
 class FlowZeroBillCollective(Collective):

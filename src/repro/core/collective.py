@@ -31,7 +31,7 @@ from .aggregator import RecoverySlotAggregator, SlotAggregator
 from .config import MAX_STREAMS, OmniReduceConfig
 from .messages import VALUE_BYTES
 from .partition import FusionLayout, fusion_width, plan_streams
-from .pending import PendingCollective
+from .pending import PendingCollective, PendingResult
 from .prefetch import CopyEngine, PrefetchSchedule
 from .worker import RecoveryStreamWorker, StreamWorker
 
@@ -142,12 +142,11 @@ class OmniReduce:
         transmitted.  Readiness times are relative to the collective's
         start.
         """
-        tensors = self._validate_allreduce(
-            tensors, worker_start_delays, gradient_readiness
+        return self._run(
+            lambda: self.begin(tensors, worker_start_delays, gradient_readiness)
         )
-        return self._run(tensors, worker_start_delays, gradient_readiness)
 
-    def begin_allreduce(
+    def begin(
         self,
         tensors: Sequence[np.ndarray],
         worker_start_delays: Optional[Sequence[float]] = None,
@@ -156,9 +155,8 @@ class OmniReduce:
         """Non-blocking :meth:`allreduce`: spawn the protocol processes
         and return the pending operation without driving the clock.
 
-        Unlike the synchronous path this opens no telemetry frame -- an
-        in-flight operation's recording belongs to whoever drives it
-        (:class:`~repro.baselines.api.Session` or the multi-job service).
+        Records nothing: the operation's telemetry frame belongs to the
+        :class:`~repro.core.pending.PendingResult` that drives it.
         """
         tensors = self._validate_allreduce(
             tensors, worker_start_delays, gradient_readiness
@@ -188,7 +186,7 @@ class OmniReduce:
             np.concatenate([np.asarray(t, dtype=np.float32).reshape(-1) for t in bucket])
             for bucket in buckets
         ]
-        result = self._run(flats)
+        result = self._run(lambda: self._begin_impl(flats))
         sizes = [int(np.prod(shape)) if shape else 1 for shape in shapes]
         offsets = np.cumsum([0] + sizes)
         result.bucket_outputs = [  # type: ignore[attr-defined]
@@ -208,19 +206,19 @@ class OmniReduce:
         zeros elsewhere, so only its own segment's blocks are non-zero
         and no zero padding is ever transmitted.
         """
-        return self._run(self._pad_allgather(tensors))
+        return self._run(lambda: self.begin_allgather(tensors))
 
     def begin_allgather(self, tensors: Sequence[np.ndarray]) -> PendingCollective:
-        """Non-blocking :meth:`allgather` (no telemetry frame)."""
+        """Non-blocking :meth:`allgather` (records nothing)."""
         return self._begin_impl(self._pad_allgather(tensors))
 
     def broadcast(self, tensor: np.ndarray, root: int = 0) -> CollectiveResult:
         """Distribute ``tensor`` from ``root`` to every worker (§7):
         an AllReduce where the other ``N-1`` contributions are empty."""
-        return self._run(self._pad_broadcast(tensor, root))
+        return self._run(lambda: self.begin_broadcast(tensor, root))
 
     def begin_broadcast(self, tensor: np.ndarray, root: int = 0) -> PendingCollective:
-        """Non-blocking :meth:`broadcast` (no telemetry frame)."""
+        """Non-blocking :meth:`broadcast` (records nothing)."""
         return self._begin_impl(self._pad_broadcast(tensor, root))
 
     # -- internals ----------------------------------------------------------
@@ -401,42 +399,15 @@ class OmniReduce:
             ),
         }
 
-    def _run(
-        self,
-        tensors: List[np.ndarray],
-        worker_start_delays: Optional[Sequence[float]] = None,
-        gradient_readiness: Optional[Sequence] = None,
-    ) -> CollectiveResult:
-        """Telemetry boundary around the engine proper.
-
-        The engine is reachable both directly (``OmniReduce(...).allreduce``)
-        and through a :class:`~repro.baselines.api.Session`; the
-        telemetry's re-entrancy guard ensures exactly one frame records
-        the run whichever path was taken.
-        """
-        telemetry = getattr(self.cluster, "telemetry", None)
-        if telemetry is None:
-            return self._run_impl(tensors, worker_start_delays, gradient_readiness)
-        with telemetry.collective(
+    def _run(self, begin) -> CollectiveResult:
+        """Drive one operation to completion, recorded as one frame
+        into the cluster's telemetry (when one is attached)."""
+        return PendingResult(
+            getattr(self.cluster, "telemetry", None),
             self.telemetry_label,
             self.cluster,
-            features=self.config.features,
-        ) as op:
-            result = self._run_impl(
-                tensors, worker_start_delays, gradient_readiness
-            )
-            if op is not None:
-                op.result = result
-            return result
-
-    def _run_impl(
-        self,
-        tensors: List[np.ndarray],
-        worker_start_delays: Optional[Sequence[float]] = None,
-        gradient_readiness: Optional[Sequence] = None,
-    ) -> CollectiveResult:
-        return self._begin_impl(
-            tensors, worker_start_delays, gradient_readiness
+            begin,
+            self.config.features,
         ).wait()
 
     def _begin_impl(

@@ -77,14 +77,7 @@ class OmniReduceConfig:
         The :class:`~repro.core.features.ProtocolFeatures` set the
         engines consult for every ablatable mechanism (Block Fusion
         §3.2, retransmit backoff, lookahead, zero-block suppression,
-        slot parallelism, chunk prefetch, flow vectorization).
-    fusion:
-        Deprecated constructor knob; folds into ``features.fusion``.
-    backoff_factor:
-        Deprecated constructor knob; folds into
-        ``features.backoff_factor``.  A valid response resets a
-        worker's timer to ``timeout_s``; 1.0 reproduces the paper's
-        fixed timer exactly.
+        slot parallelism, chunk prefetch).
     """
 
     block_size: int = 256

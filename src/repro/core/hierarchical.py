@@ -23,6 +23,8 @@ import numpy as np
 from ..netsim.cluster import Cluster
 from .collective import CollectiveResult, OmniReduce
 from .config import OmniReduceConfig
+from .messages import VALUE_BYTES
+from .pending import PendingCollective, PendingResult
 
 __all__ = ["HierarchicalAllReduce", "NVLINK_GBPS"]
 
@@ -34,7 +36,7 @@ NVLINK_GBPS = 1200.0
 class HierarchicalAllReduce:
     """Intra-server NVLink reduction + inter-server collective + broadcast.
 
-    ``inner`` is any object with an ``allreduce(tensors) -> CollectiveResult``
+    ``inner`` is any engine with a ``begin(tensors) -> PendingCollective``
     method operating across the servers (OmniReduce by default, but a
     baseline like :class:`~repro.baselines.ring.RingAllReduce` drops in
     for the NCCL comparison of Figure 13/14).
@@ -73,24 +75,23 @@ class HierarchicalAllReduce:
         ``s``; there must be one server per cluster worker host.
 
         When the cluster carries an attached telemetry, the whole
-        hierarchical operation records through the same uniform path as
-        every registry algorithm (one ``hierarchical``-labeled sample of
-        ``goodput_gbps``, ``zero_blocks_suppressed``, ``worker_stall_s``,
-        ...); the telemetry's re-entrancy guard keeps the inner
-        collective from double-recording under its own label.
+        hierarchical operation records as one run through the same
+        uniform path as every registry algorithm (one
+        ``hierarchical``-labeled sample of ``goodput_gbps``,
+        ``zero_blocks_suppressed``, ``worker_stall_s``, ...); the inner
+        collective's ``begin`` records nothing of its own.
         """
-        telemetry = getattr(self.cluster, "telemetry", None)
-        if telemetry is None:
-            return self._allreduce_impl(per_gpu_tensors)
-        with telemetry.collective("hierarchical", self.cluster) as op:
-            result = self._allreduce_impl(per_gpu_tensors)
-            if op is not None:
-                op.result = result
-            return result
+        return PendingResult(
+            getattr(self.cluster, "telemetry", None),
+            "hierarchical",
+            self.cluster,
+            lambda: self.begin(per_gpu_tensors),
+        ).wait()
 
-    def _allreduce_impl(
+    def begin(
         self, per_gpu_tensors: Sequence[Sequence[np.ndarray]]
-    ) -> CollectiveResult:
+    ) -> PendingCollective:
+        """Non-blocking :meth:`allreduce` (records nothing)."""
         servers = self.cluster.spec.workers
         if len(per_gpu_tensors) != servers:
             raise ValueError(f"expected {servers} servers, got {len(per_gpu_tensors)}")
@@ -105,15 +106,15 @@ class HierarchicalAllReduce:
             np.sum(np.stack([np.asarray(t, dtype=np.float32) for t in gpus]), axis=0)
             for gpus in per_gpu_tensors
         ]
-        nbytes = server_sums[0].size * 4
-        intra = self._intra_phase_time_s(nbytes)
-
-        # Layer 2: inter-server collective (simulated).
-        result = self.inner.allreduce(server_sums)
+        intra = self._intra_phase_time_s(server_sums[0].size * VALUE_BYTES)
 
         # Layer 3: intra-server broadcast of the global result.
-        result.time_s += 2 * intra
-        result.details["intra_reduce_s"] = intra
-        result.details["intra_broadcast_s"] = intra
-        result.details["gpus_per_server"] = self.gpus_per_server
-        return result
+        def add_intra(result: CollectiveResult) -> CollectiveResult:
+            result.time_s += 2 * intra
+            result.details["intra_reduce_s"] = intra
+            result.details["intra_broadcast_s"] = intra
+            result.details["gpus_per_server"] = self.gpus_per_server
+            return result
+
+        # Layer 2: inter-server collective (simulated).
+        return self.inner.begin(server_sums).map(add_intra)

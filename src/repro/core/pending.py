@@ -25,21 +25,28 @@ Two drive modes consume that data:
   for each yielded event, then ``finalize()``.  The kernel executes the
   identical operation sequence as the old inline code, so synchronous
   results are bit-identical, counter-identical and event-count
-  identical.  This is what ``Collective.allreduce`` does.
+  identical.
 * :meth:`start` spawns a *control process* that performs the same waits
   cooperatively, yielding the clock to other in-flight collectives
-  between events.  This is what ``Session.submit`` and the multi-job
-  scheduler use.
+  between events.  This is what the multi-job scheduler uses.
 
 A pending is single-consumer: exactly one of ``wait()``, ``start()``
 (or the auto-starting :attr:`event`) or ``steps()`` may claim it.
+
+:class:`PendingResult` is the one way a recorded collective runs: it
+opens a telemetry frame, calls the engine's ``begin`` and hands back
+the pending.  Every synchronous entry point (``Session.allreduce``,
+``OmniReduce.allreduce``, ``HierarchicalAllReduce.allreduce``) is
+``PendingResult(...).wait()``; ``Session.submit`` returns the handle
+unwaited.  Engines' ``begin`` methods never record, so one operation
+opens exactly one frame however it was driven.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterator, List, Optional
 
-__all__ = ["PendingCollective"]
+__all__ = ["PendingCollective", "PendingResult"]
 
 
 class PendingCollective:
@@ -208,3 +215,81 @@ class PendingCollective:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._finalized else (self._mode or "idle")
         return f"<PendingCollective {self.name!r} {state}>"
+
+
+class PendingResult:
+    """One collective recorded as one telemetry frame.
+
+    The constructor opens the frame (when ``telemetry`` is given), calls
+    ``begin()`` for the engine's :class:`PendingCollective` and closes
+    the frame again if ``begin`` raises.  Two ways to consume it:
+
+    * ``wait()`` -- drive the simulator to completion and return the
+      :class:`~repro.core.collective.CollectiveResult`.  The run owns
+      the tracer's pid from here on, as a blocking call always has.
+    * ``event`` -- a kernel event firing (with the result as its value)
+      when the operation completes; accessing it switches the operation
+      to cooperative execution, letting other in-flight collectives
+      share the clock.  The caller (e.g. the multi-job service) then
+      drives the simulator however it likes.
+
+    Either way the frame closes when the operation finishes, and
+    closing it never truncates another in-flight frame's spans.
+    """
+
+    def __init__(
+        self,
+        telemetry,
+        algorithm: str,
+        cluster,
+        begin: Callable[[], PendingCollective],
+        features=None,
+    ) -> None:
+        self._telemetry = telemetry
+        self._frame = None
+        if telemetry is not None:
+            self._frame = telemetry.collective_open(
+                algorithm, cluster, features=features
+            )
+        try:
+            self._pending = begin()
+        except BaseException:
+            if telemetry is not None:
+                telemetry.collective_close(self._frame)
+            raise
+        self._hooked = False
+
+    def _close_frame(self, result) -> None:
+        if self._frame is not None:
+            self._telemetry.collective_close(self._frame, result)
+
+    @property
+    def done(self) -> bool:
+        return self._pending.done
+
+    @property
+    def event(self):
+        """Completion event; starts cooperative execution if idle."""
+        ev = self._pending.event
+        if not self._hooked:
+            self._hooked = True
+            if self._frame is not None:
+                ev.add_callback(lambda fired: self._close_frame(fired.value))
+        return ev
+
+    def wait(self) -> Any:
+        """Block (in virtual time) until completion; returns the result."""
+        if not self._hooked and self._frame is not None and not self._frame.closed:
+            self._telemetry.tracer.pid = self._frame.pid
+        result = self._pending.wait()
+        self._close_frame(result)
+        return result
+
+    def result(self) -> Any:
+        """The finished result; raises if still in flight."""
+        return self._pending.result()
+
+    def map(self, fn: Callable[[Any], Any]) -> "PendingResult":
+        """Apply ``fn`` to the result at completion; returns ``self``."""
+        self._pending.map(fn)
+        return self

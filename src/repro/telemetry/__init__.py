@@ -24,6 +24,13 @@ Usage -- explicit::
     result = session.allreduce(tensors)
     print(summary(tele))
 
+Each collective run is one *frame*, opened by
+:meth:`Telemetry.collective_open` and closed by
+:meth:`Telemetry.collective_close`.  Their one caller is
+:class:`~repro.core.pending.PendingResult`: it opens the frame, begins
+the engine and closes the frame when the run finishes, whether the run
+was waited for or driven cooperatively.
+
 or process-global (what ``python -m repro.bench --trace`` does)::
 
     runtime.activate(Telemetry())     # every new Cluster auto-attaches
@@ -35,7 +42,6 @@ point costs one attribute check (see ``tests/telemetry``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -137,17 +143,8 @@ class _PacketListener:
         )
 
 
-class _Recording:
-    """Result box yielded by :meth:`Telemetry.collective`."""
-
-    __slots__ = ("result",)
-
-    def __init__(self) -> None:
-        self.result = None
-
-
 class _Frame:
-    """One in-flight recording opened by :meth:`Telemetry.collective_open`."""
+    """One recording opened by :meth:`Telemetry.collective_open`."""
 
     __slots__ = (
         "algorithm", "cluster", "pid", "snapshot", "closed", "unsupported",
@@ -182,7 +179,6 @@ class Telemetry:
         #: outside any labelled run land there) and is never handed out,
         #: so a reserved process can't absorb unrelated tracks.
         self._next_pid = 1
-        self._depth = 0
         self._open_frames = 0
         #: id(cluster) -> (cluster, packet_tracer, packet_listener,
         #: sampler); everything :meth:`detach` must undo.
@@ -273,76 +269,19 @@ class Telemetry:
         self.run_labels[pid] = label
         return pid
 
-    # -- recording a collective run -----------------------------------------
+    # -- recording a collective run ----------------------------------------
 
-    @contextmanager
-    def collective(self, algorithm: str, cluster, features=None):
-        """Record one collective operation end to end.
+    def collective_open(self, algorithm: str, cluster, features=None) -> _Frame:
+        """Open the recording frame of one collective run.
 
-        Yields a result box; the caller stores the finished
-        :class:`~repro.core.collective.CollectiveResult` in
-        ``box.result`` so the uniform metric set can be derived on
-        exit.  Re-entrant frames (a session delegating to the engine it
-        wraps) yield ``None`` and record nothing -- the outermost frame
-        owns the run.
-
-        ``features`` (a :class:`~repro.core.features.ProtocolFeatures`)
-        stamps the run's active protocol feature set into the metrics
-        registry and the exported trace metadata.
+        Frames may overlap in virtual time (several jobs in flight on
+        one simulator, or a blocking run while another is in flight), so
+        each frame carries its own pid and closing one never
+        force-closes another frame's spans.  ``features`` (a
+        :class:`~repro.core.features.ProtocolFeatures`) stamps the run's
+        active protocol feature set into the metrics registry and the
+        exported trace metadata.
         """
-        if self._depth:
-            yield None
-            return
-        unsupported = _unsupported_for(cluster)
-        self.attach(cluster)
-        self._depth += 1
-        pid = self.reserve_pid(algorithm)
-        if features is not None:
-            self.run_features[pid] = dict(features.labels())
-            record_features(self.metrics, algorithm, features)
-        self.tracer.pid = pid
-        snapshot = TrafficSnapshot(cluster)
-        box = _Recording()
-        rec = self.recorder
-        if rec.enabled:
-            rec.begin(snapshot.start_s, "run", algorithm, cat="collective")
-        try:
-            yield box
-        finally:
-            self._depth -= 1
-            now = cluster.sim.now
-            if rec.enabled:
-                rec.end(now, "run")
-            # Components interrupted by faults (or slots that serve
-            # duplicates until the simulation drains) never close their
-            # own spans; balance the stream at the run boundary.
-            self.tracer.close_open_spans(now)
-            if box.result is not None:
-                record_result(
-                    self.metrics,
-                    algorithm,
-                    box.result,
-                    worker_stall_s=snapshot.worker_stall_s(),
-                    unsupported=unsupported,
-                )
-
-    # -- recording in-flight collectives ------------------------------------
-
-    def collective_open(
-        self, algorithm: str, cluster, features=None
-    ) -> Optional["_Frame"]:
-        """Open a recording frame for a non-blocking collective.
-
-        Unlike :meth:`collective`, frames from this pair may overlap in
-        virtual time (several jobs in flight on one simulator), so each
-        frame carries its own pid and closing one never force-closes
-        another frame's spans.  Returns ``None`` inside a synchronous
-        :meth:`collective` frame (the outer frame owns the run).
-        ``features`` stamps the active protocol feature set, exactly as
-        in :meth:`collective`.
-        """
-        if self._depth:
-            return None
         unsupported = _unsupported_for(cluster)
         self.attach(cluster)
         pid = self.reserve_pid(algorithm)
@@ -361,9 +300,15 @@ class Telemetry:
         self._open_frames += 1
         return frame
 
-    def collective_close(self, frame: Optional["_Frame"], result=None) -> None:
-        """Close a frame from :meth:`collective_open` (idempotent)."""
-        if frame is None or frame.closed:
+    def collective_close(self, frame: _Frame, result=None) -> None:
+        """Close a frame from :meth:`collective_open` (idempotent).
+
+        ``result``, the finished
+        :class:`~repro.core.collective.CollectiveResult`, yields the
+        uniform metric set; a frame closed without one (its ``begin``
+        raised) records no metrics.
+        """
+        if frame.closed:
             return
         frame.closed = True
         now = frame.cluster.sim.now
@@ -377,10 +322,9 @@ class Telemetry:
         if self._open_frames == 0:
             # No collective in flight: any still-open protocol span is a
             # leftover (slots serving duplicates, fault-interrupted
-            # processes).  Balance the stream here, exactly as the sync
-            # path does at its run boundary -- but only once the *last*
-            # overlapping frame closes, so one job's close never
-            # truncates another job's live spans.
+            # processes).  Balance the stream here -- but only once the
+            # *last* overlapping frame closes, so one run's close never
+            # truncates another run's live spans.
             self.tracer.close_open_spans(now)
         if result is not None:
             record_result(

@@ -2,8 +2,8 @@
 
 The two-layer wrapper is not a registry algorithm, but it must emit
 the same uniform metric set under its own ``hierarchical`` label --
-with the inner collective's run folded in (the re-entrancy depth guard
-keeps the inner engine from double-recording under its own name).
+with the inner collective's run folded in (the wrapper drives the inner
+engine's ``begin``, which records nothing under its own name).
 """
 
 import numpy as np

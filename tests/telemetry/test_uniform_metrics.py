@@ -43,7 +43,8 @@ def test_algorithm_emits_uniform_metric_set(name):
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_algorithm_records_exactly_one_run(name):
-    """Nested sessions/engines must not double-record (depth guard)."""
+    """A session wrapping an engine records one frame: ``begin`` never
+    records, only the session's handle does."""
     tele = Telemetry()
     collective = ALGORITHMS[name]
     options_cls = type(collective.default_options())
