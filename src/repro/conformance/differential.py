@@ -13,9 +13,10 @@ enforces the equivalence contract:
   ``upward_bytes``, ``downward_bytes``, plus the protocol counters
   (``rounds``, ``retransmissions``, ``duplicates``);
 * **completion time**: within a documented relative tolerance.
-  Baselines run over :class:`~repro.netsim.flow.FlowTransport`, a
-  literal transcription of the packet arithmetic, so their times must
-  agree to float noise (:data:`TRANSPORT_TIME_RTOL`).  The vectorized
+  Baselines run over :class:`~repro.netsim.flow.FlowTransport`, which
+  books each segment through the packet kernel's own
+  ``Network.book_send`` / ``book_receive``, so their times must agree
+  (:data:`TRANSPORT_TIME_RTOL` bounds them).  The vectorized
   OmniReduce engine re-derives the timeline analytically and is held to
   :data:`~repro.core.flowreduce.TIME_RTOL` (documented in
   ``docs/performance.md``).
@@ -54,9 +55,8 @@ __all__ = [
 ]
 
 #: Relative completion-time tolerance for collectives that run over
-#: FlowTransport (every non-OmniReduce baseline): the booking arithmetic
-#: is transcribed from the packet kernel, so only accumulated float
-#: noise separates the two timelines.
+#: FlowTransport (every non-OmniReduce baseline): both modes book
+#: through the same ``Network`` helpers, so the two timelines agree.
 TRANSPORT_TIME_RTOL = 1e-9
 
 #: Algorithm-name prefixes timed by the analytical OmniReduce flow
@@ -136,9 +136,7 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
-def run_differential(
-    case: ConformanceCase, async_sessions: bool = False
-) -> DifferentialReport:
+def run_differential(case: ConformanceCase) -> DifferentialReport:
     """Run ``case`` under packet and flow modes and diff the results.
 
     ``case`` must be packet-mode (``sim_mode="packet"``); the flow twin
@@ -155,7 +153,7 @@ def run_differential(
 
     flow_case = case.with_(sim_mode="flow")
     try:
-        report.flow = run_case(flow_case, async_sessions=async_sessions)
+        report.flow = run_case(flow_case)
     except FlowUnsupported as exc:
         report.unsupported = str(exc)
         if reason is None:
@@ -170,7 +168,7 @@ def run_differential(
         )
         return report
 
-    report.packet = run_case(case, async_sessions=async_sessions)
+    report.packet = run_case(case)
 
     for side_name, side in (("packet", report.packet), ("flow", report.flow)):
         if not side.ok:
@@ -224,13 +222,9 @@ def run_differential(
     return report
 
 
-def differential_sweep(
-    cases: List[ConformanceCase], async_sessions: bool = False
-) -> List[DifferentialReport]:
+def differential_sweep(cases: List[ConformanceCase]) -> List[DifferentialReport]:
     """Run every differential; never raises (reports carry failures)."""
-    return [
-        run_differential(case, async_sessions=async_sessions) for case in cases
-    ]
+    return [run_differential(case) for case in cases]
 
 
 def differential_matrix(level: str = "smoke") -> List[ConformanceCase]:

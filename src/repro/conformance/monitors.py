@@ -2,8 +2,8 @@
 
 A monitor watches a run *live* -- it plugs into
 :meth:`repro.netsim.kernel.Simulator.add_step_observer` (the virtual
-clock) and/or the :class:`repro.netsim.trace.PacketTracer` listener API
-(every sent/delivered/dropped packet, payload included) -- and records
+clock) and/or ``Network.observers`` (every sent/delivered/dropped
+packet, payload included) -- and records
 :class:`Violation` entries instead of raising, so one run can surface
 every broken invariant at once.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.messages import WorkerPacket
 from ..netsim.packet import Packet
-from ..netsim.trace import DELIVERED, DROPPED, SENT
+from ..netsim.network import DELIVERED, DROPPED, SENT
 
 __all__ = [
     "Violation",
@@ -65,7 +65,7 @@ class Violation:
 
 
 class InvariantMonitor:
-    """Base class: a tracer listener that accumulates violations.
+    """Base class: a network observer that accumulates violations.
 
     Subclasses override :meth:`observe` (packet events) and/or
     :meth:`on_step` (kernel clock); :meth:`finish` runs end-of-run
@@ -87,7 +87,7 @@ class InvariantMonitor:
     # -- hooks -------------------------------------------------------------
 
     def observe(self, time_s: float, kind: str, packet: Packet) -> None:
-        """Tracer listener protocol: one packet event."""
+        """Network observer protocol: one packet event."""
 
     def on_step(self, time_s: float) -> None:
         """Kernel step-observer protocol: the clock advanced to a step."""
@@ -105,7 +105,7 @@ class ClockMonotonicityMonitor(InvariantMonitor):
 
     Watches both the kernel's step clock (via
     :meth:`~repro.netsim.kernel.Simulator.add_step_observer`) and the
-    timestamps the tracer reports, so a component lying about time is
+    timestamps the network reports, so a component lying about time is
     caught even if the kernel itself is healthy.
     """
 

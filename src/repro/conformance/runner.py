@@ -7,7 +7,7 @@ case always reproduces the same simulation, which is what makes
 seed-replay (:mod:`repro.conformance.replay`) possible.
 
 :func:`run_case` materializes the case, attaches the invariant monitors
-to the cluster (kernel step observer + packet-trace listeners), runs the
+to the cluster (kernel step observer + network observers), runs the
 collective, drains the network, and checks three things:
 
 1. the result against the dense oracle (within per-dtype tolerance),
@@ -37,7 +37,6 @@ from ..faults import AggregatorCrash, FaultPlan, StragglerSchedule
 from ..netsim.cluster import Cluster, ClusterSpec
 from ..netsim.loss import BernoulliLoss, GilbertElliottLoss
 from ..netsim.topology import FatTreeTopology, LeafSpineTopology, rack_map_for
-from ..netsim.trace import attach_tracer
 from .monitors import InvariantMonitor, Violation, default_monitors
 from .oracle import check_counters, check_outputs, dense_oracle
 from .patterns import SPARSITY_PATTERNS, make_tensors
@@ -336,19 +335,8 @@ def _resolve_collective(case: ConformanceCase):
     return collective
 
 
-def run_case(
-    case: ConformanceCase,
-    with_monitors: bool = True,
-    async_sessions: bool = False,
-) -> CaseReport:
-    """Execute one conformance case and check everything checkable.
-
-    ``async_sessions`` runs the collective through the non-blocking
-    ``Session.submit`` surface (then waits) instead of the synchronous
-    method -- the two are contractually bit-identical, and running the
-    whole matrix this way proves the async path preserves results,
-    counters and every invariant the monitors watch.
-    """
+def run_case(case: ConformanceCase, with_monitors: bool = True) -> CaseReport:
+    """Execute one conformance case and check everything checkable."""
     report = CaseReport(case=case)
     cluster = Cluster(
         case.cluster_spec(),
@@ -356,18 +344,14 @@ def run_case(
         faults=case.fault_plan(),
     )
     monitors = case.monitors() if with_monitors else []
-    if monitors:
-        attach_tracer(cluster.network, listeners=monitors)
-        for monitor in monitors:
-            monitor.attach(cluster)
+    cluster.network.observers.extend(monitors)
+    for monitor in monitors:
+        monitor.attach(cluster)
 
     tensors = case.tensors()
     collective = _resolve_collective(case)
     session = collective.prepare(cluster, case.options())
-    if async_sessions:
-        result = session.submit(tensors).wait()
-    else:
-        result = session.allreduce(tensors)
+    result = session.allreduce(tensors)
     report.result = result
 
     # Let in-flight packets (late duplicates, downward results already
@@ -390,15 +374,10 @@ def run_case(
 
 
 def sweep(
-    cases: List[ConformanceCase],
-    with_monitors: bool = True,
-    async_sessions: bool = False,
+    cases: List[ConformanceCase], with_monitors: bool = True
 ) -> List[CaseReport]:
     """Run every case; never raises on failures (reports carry them)."""
-    return [
-        run_case(case, with_monitors=with_monitors, async_sessions=async_sessions)
-        for case in cases
-    ]
+    return [run_case(case, with_monitors=with_monitors) for case in cases]
 
 
 def default_matrix(level: str = "smoke") -> List[ConformanceCase]:

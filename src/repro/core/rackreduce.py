@@ -234,15 +234,6 @@ def _plan(
     return plan
 
 
-def _segment_payloads(nbytes: int, segment_bytes: int) -> List[int]:
-    """SegmentedChannel's exact framing: payload bytes per segment."""
-    nbytes = max(1, nbytes)
-    nseg = -(-nbytes // segment_bytes)
-    return [
-        min(segment_bytes, nbytes - seg * segment_bytes) for seg in range(nseg)
-    ]
-
-
 class RackHierarchicalOmniReduce:
     """Rack-hierarchical sparse AllReduce: the exact packet engine.
 

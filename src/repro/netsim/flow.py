@@ -15,15 +15,15 @@ chains.
 Two layers build on it:
 
 * :class:`FlowTransport` wraps a packet transport and books whole
-  messages per call.  The booking arithmetic is a literal transcription
-  of :meth:`~repro.netsim.network.Network.transmit` /
-  ``Network._ingress``, so a protocol engine running over a
-  ``FlowTransport`` produces **bit-identical tensors, identical wire
-  counters, and identical timestamps** -- it only executes fewer
-  simulator events (one arrival per wire segment, one delivery per
-  message, instead of per-segment ingress + delivery + receiver
-  resumption).  Every baseline collective gains flow mode this way,
-  unchanged.
+  messages per call.  Each segment is booked by the packet kernel's own
+  :meth:`~repro.netsim.network.Network.book_send` /
+  :meth:`~repro.netsim.network.Network.book_receive`, so a protocol
+  engine running over a ``FlowTransport`` produces **bit-identical
+  tensors, identical wire counters, and identical timestamps** -- it
+  only executes fewer simulator events (one arrival per wire segment,
+  one delivery per message, instead of per-segment ingress + delivery
+  + receiver resumption).  Every baseline collective gains flow mode
+  this way, unchanged.
 * the analytic engines (:class:`~repro.core.flowreduce.FlowOmniReduce`,
   :class:`~repro.core.rackreduce.FlowRackHierarchical`) use the chain
   helpers and :class:`HostLedger` below to collapse whole protocol
@@ -35,8 +35,8 @@ the packet kernel books the shared uplink/downlink/spine pipes
 *synchronously* inside ``Network.transmit`` -- at send-call time, not
 at a core-entry event -- so :class:`FlowTransport` reproduces the exact
 same pipe bookings in the exact same global order by calling
-``topology.traverse_core`` from its own (equally synchronous) send
-path.  Both modes share one topology instance per run, so the floats
+``Network.book_send`` from its own (equally synchronous) send path.
+Both modes share one topology instance per run, so the floats
 associate identically.
 
 Flow mode refuses configurations whose semantics *require* per-packet
@@ -331,40 +331,17 @@ class FlowTransport(Transport):
         wire_sizes: List[int],
         flow: str,
     ) -> None:
-        # Literal transcription of Network.transmit, minus the loss
-        # branch that require_flow_capable excluded.
+        # Network.transmit's booking, minus the loss branch that
+        # require_flow_capable excluded.  Booking synchronously at
+        # send-call time keeps the shared topology pipes' state and
+        # float association order identical between modes.
         network = self.network
         sim = network.sim
         src_host = network.hosts[src]
         dst_host = network.hosts[dst]
-        stats = network.stats
-        topology = network.topology
-        latency = network.latency_s
-        now = sim.now
-        tx_cost = src_host.tx_cpu_cost_s
-        bw = src_host.bandwidth_bps
         last = len(wire_sizes) - 1
         for i, size in enumerate(wire_sizes):
-            free = src_host.tx_cpu_free_at
-            tx_ready = (now if now > free else free) + tx_cost
-            src_host.tx_cpu_free_at = tx_ready
-            free = src_host.egress_free_at
-            tx_start = tx_ready if tx_ready > free else free
-            # Same association order as Network.transmit, bit for bit.
-            serialization = size * 8.0 / bw
-            src_host.egress_free_at = tx_start + serialization
-            stats.bytes_sent[src] += size
-            stats.packets_sent[src] += 1
-            if flow:
-                stats.flow_bytes[flow] += size
-            core_exit = tx_start + serialization
-            if topology is not None:
-                # The packet kernel books the shared topology pipes
-                # synchronously at send-call time (Network.transmit);
-                # doing the same here keeps the pipe state and float
-                # association order identical between modes.
-                core_exit = topology.traverse_core(core_exit, src, dst, size)
-            wire_arrival = core_exit + latency
+            wire_arrival = network.book_send(src_host, dst, size, flow)
             if i == last:
                 packet = Packet(src, dst, payload, size, dst_port, flow)
                 sim.call_at(wire_arrival, self._arrive, dst_host, size, packet)
@@ -373,20 +350,13 @@ class FlowTransport(Transport):
 
     def _arrive(self, dst: Host, size: int, packet: Optional[Packet]) -> None:
         # Network._ingress booking; only the final segment delivers.
-        sim = self.network.sim
-        now = sim.now
-        free = dst.ingress_free_at
-        rx_start = now if now > free else free
-        rx_done = rx_start + size * 8.0 / dst.bandwidth_bps
-        dst.ingress_free_at = rx_done
-        free = dst.rx_cpu_free_at
-        deliver_at = (rx_done if rx_done > free else free) + dst.rx_cpu_cost_s
-        dst.rx_cpu_free_at = deliver_at
-        stats = self.network.stats
+        network = self.network
+        deliver_at = network.book_receive(dst, size)
+        stats = network.stats
         stats.bytes_received[dst.name] += size
         stats.packets_received[dst.name] += 1
         if packet is not None:
-            sim.call_at(deliver_at, self._deliver, dst, packet)
+            network.sim.call_at(deliver_at, self._deliver, dst, packet)
 
     def _deliver(self, dst: Host, packet: Packet) -> None:
         mailbox = dst._ports.get(packet.port)

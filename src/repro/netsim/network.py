@@ -21,13 +21,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from .kernel import Queue, Simulator
 from .loss import LossModel, NoLoss
 from .packet import Packet
 
 __all__ = ["HostConfig", "Host", "Network", "NetworkStats", "gbps"]
+
+#: Packet event kinds reported to :attr:`Network.observers`.
+SENT = "sent"
+DELIVERED = "delivered"
+DROPPED = "dropped"
 
 
 def gbps(rate: float) -> float:
@@ -162,6 +167,9 @@ class Network:
         self.topology = topology
         self.hosts: Dict[str, Host] = {}
         self.stats = NetworkStats()
+        #: Packet watchers: each one's ``observe(time_s, kind, packet)``
+        #: sees every packet ``SENT``, then ``DELIVERED`` or ``DROPPED``.
+        self.observers: List = []
 
     def add_host(self, name: str, config: Optional[HostConfig] = None) -> Host:
         if name in self.hosts:
@@ -188,15 +196,39 @@ class Network:
         reliable transport, whose link layer guarantees delivery).
         ``on_drop`` is invoked (at the would-be arrival time) if the loss
         model eats the packet -- TCP-like transports use it to trigger
-        recovery.
+        recovery.  Each of :attr:`observers` sees the packet sent now and
+        then delivered or dropped.
         """
         sim = self.sim
-        src = self.hosts[packet.src]
-        dst = self.hosts[packet.dst]
-        size_bytes = packet.size_bytes
-        now = sim.now
+        observers = self.observers
+        if observers:
+            now = sim.now
+            for observer in observers:
+                observer.observe(now, SENT, packet)
+        wire_arrival = self.book_send(
+            self.hosts[packet.src], packet.dst, packet.size_bytes, packet.flow
+        )
+        if lossy and self.loss.should_drop(packet):
+            stats = self.stats
+            stats.packets_dropped[packet.src] += 1
+            if packet.flow:
+                stats.flow_packets_dropped[packet.flow] += 1
+            if observers:
+                sim.call_at(wire_arrival, self._dropped, packet, on_drop)
+            elif on_drop is not None:
+                sim.call_at(wire_arrival, on_drop, packet)
+            return
+        sim.call_at(wire_arrival, self._ingress, self.hosts[packet.dst], packet)
 
+    def book_send(self, src: Host, dst: str, size: int, flow: str) -> float:
+        """Book one ``size``-byte send from ``src`` to host ``dst``.
+
+        Charges the transmit CPU and egress NIC stages, the send
+        counters and the topology core, and returns the time the packet
+        reaches the destination's NIC.
+        """
         # Transmit-side CPU stage (per-packet software cost, multi-core).
+        now = self.sim.now
         free = src.tx_cpu_free_at
         tx_ready = (now if now > free else free) + src.tx_cpu_cost_s
         src.tx_cpu_free_at = tx_ready
@@ -204,46 +236,59 @@ class Network:
         # Egress NIC serialization.
         free = src.egress_free_at
         tx_start = tx_ready if tx_ready > free else free
-        serialization = size_bytes * 8.0 / src.bandwidth_bps
-        src.egress_free_at = tx_start + serialization
+        serialization = size * 8.0 / src.bandwidth_bps
+        core_exit = tx_start + serialization
+        src.egress_free_at = core_exit
         src.egress_busy_s += serialization
 
         stats = self.stats
-        stats.bytes_sent[packet.src] += size_bytes
-        stats.packets_sent[packet.src] += 1
-        if packet.flow:
-            stats.flow_bytes[packet.flow] += size_bytes
+        stats.bytes_sent[src.name] += size
+        stats.packets_sent[src.name] += 1
+        if flow:
+            stats.flow_bytes[flow] += size
 
-        core_exit = tx_start + serialization
         if self.topology is not None:
-            core_exit = self.topology.traverse_core(
-                core_exit, packet.src, packet.dst, size_bytes
-            )
-        wire_arrival = core_exit + self.latency_s
-        if lossy and self.loss.should_drop(packet):
-            stats.packets_dropped[packet.src] += 1
-            if packet.flow:
-                stats.flow_packets_dropped[packet.flow] += 1
-            if on_drop is not None:
-                sim.call_at(wire_arrival, on_drop, packet)
-            return
-        sim.call_at(wire_arrival, self._ingress, dst, packet)
+            core_exit = self.topology.traverse_core(core_exit, src.name, dst, size)
+        return core_exit + self.latency_s
 
-    def _ingress(self, dst: Host, packet: Packet) -> None:
+    def book_receive(self, dst: Host, size: int) -> float:
+        """Book one ``size``-byte arrival at ``dst``'s NIC, now.
+
+        Charges the ingress NIC and receive CPU stages and returns the
+        time the packet is handed to its mailbox.
+        """
         now = self.sim.now
         free = dst.ingress_free_at
         rx_start = now if now > free else free
-        rx_done = rx_start + packet.size_bytes * 8.0 / dst.bandwidth_bps
+        rx_done = rx_start + size * 8.0 / dst.bandwidth_bps
         dst.ingress_free_at = rx_done
 
         # Receive-side CPU stage.
         free = dst.rx_cpu_free_at
         deliver_at = (rx_done if rx_done > free else free) + dst.rx_cpu_cost_s
         dst.rx_cpu_free_at = deliver_at
+        return deliver_at
 
-        self.sim.call_at(deliver_at, self._deliver, dst, packet)
+    def _ingress(self, dst: Host, packet: Packet) -> None:
+        self.sim.call_at(
+            self.book_receive(dst, packet.size_bytes), self._deliver, dst, packet
+        )
+
+    def _dropped(
+        self, packet: Packet, on_drop: Optional[Callable[[Packet], None]]
+    ) -> None:
+        now = self.sim.now
+        for observer in self.observers:
+            observer.observe(now, DROPPED, packet)
+        if on_drop is not None:
+            on_drop(packet)
 
     def _deliver(self, dst: Host, packet: Packet) -> None:
+        observers = self.observers
+        if observers:
+            now = self.sim.now
+            for observer in observers:
+                observer.observe(now, DELIVERED, packet)
         stats = self.stats
         stats.bytes_received[dst.name] += packet.size_bytes
         stats.packets_received[dst.name] += 1

@@ -8,8 +8,8 @@ simulator's virtual clock:
 * a :class:`~repro.telemetry.spans.SpanTracer` of nested spans from the
   core protocol (block round-trips, slot occupancy, retransmit timers,
   worker wait time),
-* live packet events from :class:`~repro.netsim.trace.PacketTracer`
-  and fault entries from :class:`~repro.netsim.trace.FaultLog`,
+* live packet events, observed on ``Network.observers``, and fault
+  entries from :class:`~repro.netsim.trace.FaultLog`,
 * periodic link-utilization / queue-depth samples via
   :meth:`~repro.netsim.kernel.Simulator.add_step_observer`.
 
@@ -108,16 +108,15 @@ class TelemetryConfig:
     instants, fault instants, samples); past the cap new events are
     dropped-and-counted, keeping the earliest -- a full figure sweep
     emits millions of packet events and an unbounded trace would dwarf
-    the experiment itself.  ``max_packet_events`` caps the raw
-    :class:`~repro.netsim.trace.PacketTracer` ring (0 = keep none;
-    the live listener feeding the span stream is unaffected).
+    the experiment itself.  ``record_packets`` subscribes a packet
+    observer to the network that turns each packet event into one
+    instant on that stream.
     """
 
     record_spans: bool = True
     record_packets: bool = True
     sample_interval_s: Optional[float] = None
     max_span_events: Optional[int] = 250_000
-    max_packet_events: int = 0
 
 
 class _PacketListener:
@@ -180,8 +179,8 @@ class Telemetry:
         #: so a reserved process can't absorb unrelated tracks.
         self._next_pid = 1
         self._open_frames = 0
-        #: id(cluster) -> (cluster, packet_tracer, packet_listener,
-        #: sampler); everything :meth:`detach` must undo.
+        #: id(cluster) -> (cluster, packet_listener, sampler);
+        #: everything :meth:`detach` must undo.
         self._attachments: Dict[int, tuple] = {}
 
     # -- wiring into a cluster ----------------------------------------------
@@ -195,7 +194,7 @@ class Telemetry:
     def attach(self, cluster) -> None:
         """Instrument ``cluster`` to report here (idempotent).
 
-        Hooks the network's packet path, subscribes to the fault log,
+        Subscribes to the network's packets and the fault log,
         and registers the periodic sampler when configured.  Called
         automatically by sessions and by ``Cluster.__init__`` when this
         telemetry is process-globally active.
@@ -204,17 +203,10 @@ class Telemetry:
         if id(cluster) in self._attachments:
             return
         cluster.telemetry = self
-        tracer = None
         listener = None
         if self.config.record_packets:
-            from ..netsim.trace import attach_tracer
-
             listener = _PacketListener(self.tracer)
-            tracer = attach_tracer(
-                cluster.network,
-                listeners=[listener],
-                max_events=self.config.max_packet_events,
-            )
+            cluster.network.observers.append(listener)
         cluster.fault_log.add_listener(self._on_fault)
         sampler = None
         if self.config.sample_interval_s:
@@ -222,22 +214,24 @@ class Telemetry:
                 cluster, self.tracer, self.config.sample_interval_s
             )
             cluster.sim.add_step_observer(sampler)
-        self._attachments[id(cluster)] = (cluster, tracer, listener, sampler)
+        self._attachments[id(cluster)] = (cluster, listener, sampler)
 
     def detach(self, cluster) -> None:
         """Undo :meth:`attach` for ``cluster`` (idempotent).
 
-        Removes the packet listener, fault-log subscription and sampler,
-        and clears ``cluster.telemetry``.  Recorded events are kept --
+        Removes the packet observer from ``Network.observers``, the
+        fault-log subscription and the sampler, and clears
+        ``cluster.telemetry``; the network then runs exactly as if it
+        had never been attached.  Recorded events are kept --
         detaching stops future recording, it does not discard history.
         """
         cluster = self._resolve(cluster)
         record = self._attachments.pop(id(cluster), None)
         if record is None:
             return
-        _cluster, tracer, listener, sampler = record
-        if tracer is not None and listener is not None:
-            tracer.remove_listener(listener)
+        _cluster, listener, sampler = record
+        if listener is not None:
+            cluster.network.observers.remove(listener)
         cluster.fault_log.remove_listener(self._on_fault)
         if sampler is not None:
             cluster.sim.remove_step_observer(sampler)

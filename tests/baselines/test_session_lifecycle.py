@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import FaultPlan, prepare
+from repro.baselines.api import OmniReduceOptions
 from repro.baselines.registry import get
-from repro.netsim import Cluster, ClusterSpec
+from repro.netsim import BernoulliLoss, Cluster, ClusterSpec
+from repro.netsim.kernel import events_total
 from repro.telemetry import Telemetry, TelemetryConfig
 
 
@@ -102,3 +105,28 @@ def test_exception_exit_still_closes():
         with session:
             raise ValueError("boom")
     assert session.closed
+
+
+def _after_first_session(telemetry):
+    """A lossy cluster after one closed session, and the kernel events
+    of a plain run that follows it."""
+    cluster = Cluster(
+        ClusterSpec(workers=4, aggregators=4, transport="dpdk"),
+        faults=FaultPlan(loss=BernoulliLoss(0.02, np.random.default_rng(5))),
+    )
+    tensors = _tensors(workers=4, elements=2048)
+    with prepare("omnireduce", cluster, OmniReduceOptions(telemetry=telemetry)) as s:
+        s.allreduce(tensors)
+    before = events_total()
+    with prepare("omnireduce", cluster, OmniReduceOptions()) as s:
+        s.allreduce(tensors)
+    return cluster, events_total() - before
+
+
+def test_closed_telemetry_session_leaves_packet_path_untouched():
+    """Once its session closes, telemetry costs the network no events:
+    a later run drops packets exactly as if no session ever traced it."""
+    cluster, traced_first = _after_first_session(Telemetry())
+    _, plain_first = _after_first_session(None)
+    assert traced_first == plain_first
+    assert cluster.network.observers == []

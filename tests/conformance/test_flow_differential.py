@@ -51,13 +51,6 @@ def test_differential_straggler_fault():
     assert report.unsupported is None
 
 
-def test_differential_async_sessions_path():
-    report = run_differential(
-        ConformanceCase(algorithm="omnireduce"), async_sessions=True
-    )
-    assert report.ok, report.summary()
-
-
 @pytest.mark.parametrize(
     "axes",
     [
