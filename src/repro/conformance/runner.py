@@ -181,6 +181,10 @@ class ConformanceCase:
         parts = [
             self.algorithm,
             f"w{self.workers}",
+        ]
+        if self.aggregators is not None:
+            parts.append(f"a{self.aggregators}")
+        parts += [
             f"n{self.elements}",
             f"bs{self.block_size}",
             self.pattern,

@@ -163,41 +163,6 @@ class OmniReduce:
         )
         return self._begin_impl(tensors, worker_start_delays, gradient_readiness)
 
-    def allreduce_bucket(
-        self, buckets: Sequence[Sequence[np.ndarray]]
-    ) -> CollectiveResult:
-        """DDP-style bucketed AllReduce: reduce a *list* of tensors (e.g.
-        one gradient per layer) as a single fused flat collective.
-
-        ``buckets[w]`` is worker ``w``'s list; shapes must agree across
-        workers position by position.  The returned result carries
-        ``bucket_outputs`` -- per-worker lists of reduced tensors in the
-        original shapes -- alongside the usual flat ``outputs``.
-        """
-        if len(buckets) != self.cluster.spec.workers:
-            raise ValueError("need exactly one bucket per worker")
-        if not buckets[0]:
-            raise ValueError("buckets must contain at least one tensor")
-        shapes = [np.asarray(t).shape for t in buckets[0]]
-        for w, bucket in enumerate(buckets):
-            if [np.asarray(t).shape for t in bucket] != shapes:
-                raise ValueError(f"worker {w}'s bucket shapes differ from worker 0's")
-        flats = [
-            np.concatenate([np.asarray(t, dtype=np.float32).reshape(-1) for t in bucket])
-            for bucket in buckets
-        ]
-        result = self._run(lambda: self._begin_impl(flats))
-        sizes = [int(np.prod(shape)) if shape else 1 for shape in shapes]
-        offsets = np.cumsum([0] + sizes)
-        result.bucket_outputs = [  # type: ignore[attr-defined]
-            [
-                output[offsets[i] : offsets[i + 1]].reshape(shapes[i])
-                for i in range(len(shapes))
-            ]
-            for output in result.outputs
-        ]
-        return result
-
     def allgather(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
         """Concatenate the workers' tensors at every worker (§7).
 

@@ -222,11 +222,13 @@ class PendingResult:
 
     The constructor opens the frame (when ``telemetry`` is given), calls
     ``begin()`` for the engine's :class:`PendingCollective` and closes
-    the frame again if ``begin`` raises.  Two ways to consume it:
+    the frame again if ``begin`` raises.  The components ``begin()``
+    builds take the frame's recorder (``telemetry.recorder``, set by
+    the frame's opening), so they record into this run's own trace
+    process.  Two ways to consume it:
 
     * ``wait()`` -- drive the simulator to completion and return the
-      :class:`~repro.core.collective.CollectiveResult`.  The run owns
-      the tracer's pid from here on, as a blocking call always has.
+      :class:`~repro.core.collective.CollectiveResult`.
     * ``event`` -- a kernel event firing (with the result as its value)
       when the operation completes; accessing it switches the operation
       to cooperative execution, letting other in-flight collectives
@@ -234,7 +236,7 @@ class PendingResult:
       drives the simulator however it likes.
 
     Either way the frame closes when the operation finishes, and
-    closing it never truncates another in-flight frame's spans.
+    closing it force-closes this run's leftover spans and no others.
     """
 
     def __init__(
@@ -279,8 +281,6 @@ class PendingResult:
 
     def wait(self) -> Any:
         """Block (in virtual time) until completion; returns the result."""
-        if not self._hooked and self._frame is not None and not self._frame.closed:
-            self._telemetry.tracer.pid = self._frame.pid
         result = self._pending.wait()
         self._close_frame(result)
         return result

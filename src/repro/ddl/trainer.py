@@ -25,7 +25,7 @@ Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class TrainingSimulator:
     @property
     def scale_factor(self) -> float:
         return self.workload.total_elements / self.scale_elements
-
-    def _gradients(self, workers: int, sample: int) -> List[np.ndarray]:
-        rng = np.random.default_rng(self.seed + 1000 * sample)
-        return GradientModel(self.workload).generate(
-            workers, self.scale_elements, rng
-        )
 
     def measure(
         self,

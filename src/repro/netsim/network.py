@@ -110,9 +110,6 @@ class Host:
             self._ports[name] = self.sim.queue(f"{self.name}:{name}")
         return self._ports[name]
 
-    def has_port(self, name: str) -> bool:
-        return name in self._ports
-
 
 class NetworkStats:
     """Aggregate transmission counters, per host and per flow label."""

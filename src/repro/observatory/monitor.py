@@ -169,21 +169,13 @@ class _TelemetryBridge:
 
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
-        self.pid = telemetry.reserve_pid("observatory")
+        self.recorder = telemetry.process("observatory")
 
     def __call__(self, event: str, incident: Incident) -> None:
-        tele = self.telemetry
-        if not tele.recorder.enabled:
-            if event == "open":
-                self._count(incident)
-            return
-        tracer = tele.tracer
-        previous = tracer.pid
-        tracer.pid = self.pid
         track = f"incidents/{incident.detector}/{incident.entity}"
         if event == "open":
             self._count(incident)
-            tracer.begin(
+            self.recorder.begin(
                 incident.start_s,
                 track,
                 incident.kind,
@@ -194,8 +186,7 @@ class _TelemetryBridge:
                 },
             )
         else:
-            tracer.end(incident.end_s, track)
-        tracer.pid = previous
+            self.recorder.end(incident.end_s, track)
 
     def _count(self, incident: Incident) -> None:
         self.telemetry.metrics.counter(

@@ -42,6 +42,7 @@ import numpy as np
 
 from ..baselines.registry import get as get_collective
 from ..netsim.cluster import Cluster
+from ..telemetry.spans import NULL_RECORDER
 from ..tensors import block_sparse_tensors
 from .jobs import DONE, QUEUED, REJECTED, RUNNING, JobRecord, JobSpec
 from .view import FabricSlice
@@ -111,12 +112,14 @@ class FabricService:
         #: job's slice is wrapped in a flow view at prepare() time).
         self.sim_mode = sim_mode
         self.telemetry = telemetry
-        self._pid = None
+        #: The ``fabric-service`` trace process: job spans, admission
+        #: marks and queue counters.
+        self._recorder = NULL_RECORDER
         if telemetry is not None:
             # Attach before any job session exists so job sessions never
             # own (and never tear down) the fleet attachment.
             telemetry.attach(cluster)
-            self._pid = telemetry.reserve_pid("fabric-service")
+            self._recorder = telemetry.process("fabric-service")
         #: Optional :class:`~repro.observatory.Observatory`: watches the
         #: shared fabric and this service's job records (SLO burn-rate
         #: alerts).  A disabled observatory attaches as a no-op.
@@ -291,38 +294,18 @@ class FabricService:
 
     # -- fleet telemetry -----------------------------------------------------
 
-    def _service_track(self):
-        tele = self.telemetry
-        if tele is None or not tele.recorder.enabled:
-            return None
-        return tele.tracer
-
     def _mark(self, name: str, **args) -> None:
-        tracer = self._service_track()
-        if tracer is None:
-            return
-        previous = tracer.pid
-        tracer.pid = self._pid
-        tracer.instant(self.sim.now, "service", name, cat="service", args=args or None)
-        tracer.pid = previous
+        self._recorder.instant(
+            self.sim.now, "service", name, cat="service", args=args or None
+        )
 
     def _counters(self) -> None:
-        tracer = self._service_track()
-        if tracer is None:
-            return
-        previous = tracer.pid
-        tracer.pid = self._pid
-        tracer.counter(self.sim.now, "service", "queued", len(self._queue))
-        tracer.counter(self.sim.now, "service", "running", len(self._running))
-        tracer.pid = previous
+        rec = self._recorder
+        rec.counter(self.sim.now, "service", "queued", len(self._queue))
+        rec.counter(self.sim.now, "service", "running", len(self._running))
 
     def _job_span_open(self, record: JobRecord) -> None:
-        tracer = self._service_track()
-        if tracer is None:
-            return
-        previous = tracer.pid
-        tracer.pid = self._pid
-        tracer.begin(
+        self._recorder.begin(
             self.sim.now,
             f"jobs/{record.spec.name}",
             record.spec.name,
@@ -335,13 +318,6 @@ class FabricService:
                 "waited_s": record.wait_s,
             },
         )
-        tracer.pid = previous
 
     def _job_span_close(self, record: JobRecord) -> None:
-        tracer = self._service_track()
-        if tracer is None:
-            return
-        previous = tracer.pid
-        tracer.pid = self._pid
-        tracer.end(self.sim.now, f"jobs/{record.spec.name}")
-        tracer.pid = previous
+        self._recorder.end(self.sim.now, f"jobs/{record.spec.name}")

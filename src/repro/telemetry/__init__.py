@@ -13,6 +13,12 @@ simulator's virtual clock:
 * periodic link-utilization / queue-depth samples via
   :meth:`~repro.netsim.kernel.Simulator.add_step_observer`.
 
+Every source records through its own
+:class:`~repro.telemetry.spans.Recorder`, one per trace process: each
+collective run's frame, the ``fabric`` (packets, faults and samples, on
+pid 0), and any :meth:`Telemetry.process` a long-lived source reserves
+(the observatory, a fabric service).
+
 Exporters (:mod:`repro.telemetry.export`) render it all as a text
 summary, a metrics JSON, or Chrome-trace-event JSON loadable in
 Perfetto.  See ``docs/observability.md``.
@@ -28,8 +34,10 @@ Each collective run is one *frame*, opened by
 :meth:`Telemetry.collective_open` and closed by
 :meth:`Telemetry.collective_close`.  Their one caller is
 :class:`~repro.core.pending.PendingResult`: it opens the frame, begins
-the engine and closes the frame when the run finishes, whether the run
-was waited for or driven cooperatively.
+the engine -- whose components take the frame's recorder from
+:attr:`Telemetry.recorder` -- and closes the frame when the run
+finishes, whether the run was waited for or driven cooperatively.
+Closing a frame force-closes that run's leftover spans and no others.
 
 or process-global (what ``python -m repro.bench --trace`` does)::
 
@@ -79,7 +87,7 @@ def _unsupported_for(cluster):
         return FLOW_UNSUPPORTED_METRICS
     return ()
 from .samplers import LinkUtilizationSampler
-from .spans import NULL_RECORDER, NullRecorder, SpanTracer
+from .spans import NULL_RECORDER, NullRecorder, Recorder, SpanTracer
 
 __all__ = [
     "Telemetry",
@@ -122,13 +130,13 @@ class TelemetryConfig:
 class _PacketListener:
     """Feeds live packet events into the unified span stream."""
 
-    __slots__ = ("tracer",)
+    __slots__ = ("recorder",)
 
-    def __init__(self, tracer: SpanTracer) -> None:
-        self.tracer = tracer
+    def __init__(self, recorder: Recorder) -> None:
+        self.recorder = recorder
 
     def observe(self, time_s: float, kind: str, packet) -> None:
-        self.tracer.instant(
+        self.recorder.instant(
             time_s,
             f"net/{packet.src}",
             kind,
@@ -146,13 +154,13 @@ class _Frame:
     """One recording opened by :meth:`Telemetry.collective_open`."""
 
     __slots__ = (
-        "algorithm", "cluster", "pid", "snapshot", "closed", "unsupported",
+        "algorithm", "cluster", "recorder", "snapshot", "closed", "unsupported",
     )
 
-    def __init__(self, algorithm, cluster, pid, snapshot, unsupported=()) -> None:
+    def __init__(self, algorithm, cluster, recorder, snapshot, unsupported=()) -> None:
         self.algorithm = algorithm
         self.cluster = cluster
-        self.pid = pid
+        self.recorder = recorder
         self.snapshot = snapshot
         self.closed = False
         self.unsupported = unsupported
@@ -165,20 +173,23 @@ class Telemetry:
         self.config = config or TelemetryConfig()
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(max_events=self.config.max_span_events)
-        #: Recorder handed to protocol components: the tracer when span
-        #: recording is on, the shared null recorder otherwise.
-        self.recorder = self.tracer if self.config.record_spans else NULL_RECORDER
-        #: pid -> algorithm label, one per recorded collective run.
+        #: The ``fabric`` process (pid 0): packets, faults and link
+        #: samples of every attached cluster.
+        self.fabric = self.tracer.recorder(0)
+        #: The recorder of the frame opened last: the engine ``begin()``
+        #: that :class:`~repro.core.pending.PendingResult` calls right
+        #: after :meth:`collective_open` hands it to the components it
+        #: builds.  The shared null recorder before any frame and when
+        #: span recording is off.
+        self.recorder = NULL_RECORDER
+        #: pid -> label, one per reserved process (collective runs are
+        #: labelled with their algorithm).
         self.run_labels: Dict[int, str] = {}
         #: pid -> {feature name: enabled} for runs that declared their
         #: protocol feature set; the Chrome-trace exporter emits these
         #: as per-run metadata so a Perfetto trace is self-describing.
         self.run_features: Dict[int, Dict[str, bool]] = {}
-        #: pid 0 is the tracer's default (component spans recorded
-        #: outside any labelled run land there) and is never handed out,
-        #: so a reserved process can't absorb unrelated tracks.
         self._next_pid = 1
-        self._open_frames = 0
         #: id(cluster) -> (cluster, packet_listener, sampler);
         #: everything :meth:`detach` must undo.
         self._attachments: Dict[int, tuple] = {}
@@ -205,13 +216,13 @@ class Telemetry:
         cluster.telemetry = self
         listener = None
         if self.config.record_packets:
-            listener = _PacketListener(self.tracer)
+            listener = _PacketListener(self.fabric)
             cluster.network.observers.append(listener)
         cluster.fault_log.add_listener(self._on_fault)
         sampler = None
         if self.config.sample_interval_s:
             sampler = LinkUtilizationSampler(
-                cluster, self.tracer, self.config.sample_interval_s
+                cluster, self.fabric, self.config.sample_interval_s
             )
             cluster.sim.add_step_observer(sampler)
         self._attachments[id(cluster)] = (cluster, listener, sampler)
@@ -243,7 +254,7 @@ class Telemetry:
         return id(self._resolve(cluster)) in self._attachments
 
     def _on_fault(self, record) -> None:
-        self.tracer.instant(
+        self.fabric.instant(
             record.time_s,
             "faults",
             record.kind,
@@ -251,17 +262,26 @@ class Telemetry:
             args=dict(record.detail),
         )
 
-    def reserve_pid(self, label: str) -> int:
-        """Allocate a trace process id for a labelled event source.
+    def process(self, label: str, features=None):
+        """Reserve a trace process named ``label``; returns its recorder.
 
-        Collective runs get one implicitly; long-lived sources (the
-        multi-job service's fleet timeline) reserve theirs up front so
-        their spans group under a stable named track in the trace.
+        Collective runs get one per frame; long-lived sources (the
+        observatory, the multi-job service's fleet timeline) reserve
+        theirs up front so their spans group under a stable named
+        process in the trace.  ``features`` (a
+        :class:`~repro.core.features.ProtocolFeatures`) is stamped into
+        the process's trace metadata.  With span recording off the pid
+        is still reserved and labelled, and the recorder is the shared
+        null recorder.
         """
         pid = self._next_pid
         self._next_pid += 1
         self.run_labels[pid] = label
-        return pid
+        if features is not None:
+            self.run_features[pid] = dict(features.labels())
+        if not self.config.record_spans:
+            return NULL_RECORDER
+        return self.tracer.recorder(pid)
 
     # -- recording a collective run ----------------------------------------
 
@@ -270,28 +290,23 @@ class Telemetry:
 
         Frames may overlap in virtual time (several jobs in flight on
         one simulator, or a blocking run while another is in flight), so
-        each frame carries its own pid and closing one never
-        force-closes another frame's spans.  ``features`` (a
+        each frame records through its own process's recorder, which
+        also becomes :attr:`recorder` for the engine ``begin()`` that
+        follows.  ``features`` (a
         :class:`~repro.core.features.ProtocolFeatures`) stamps the run's
         active protocol feature set into the metrics registry and the
         exported trace metadata.
         """
         unsupported = _unsupported_for(cluster)
         self.attach(cluster)
-        pid = self.reserve_pid(algorithm)
+        rec = self.recorder = self.process(algorithm, features)
         if features is not None:
-            self.run_features[pid] = dict(features.labels())
             record_features(self.metrics, algorithm, features)
         frame = _Frame(
-            algorithm, cluster, pid, TrafficSnapshot(cluster), unsupported
+            algorithm, cluster, rec, TrafficSnapshot(cluster), unsupported
         )
-        rec = self.recorder
         if rec.enabled:
-            previous = self.tracer.pid
-            self.tracer.pid = pid
             rec.begin(frame.snapshot.start_s, "run", algorithm, cat="collective")
-            self.tracer.pid = previous
-        self._open_frames += 1
         return frame
 
     def collective_close(self, frame: _Frame, result=None) -> None:
@@ -300,26 +315,18 @@ class Telemetry:
         ``result``, the finished
         :class:`~repro.core.collective.CollectiveResult`, yields the
         uniform metric set; a frame closed without one (its ``begin``
-        raised) records no metrics.
+        raised) records no metrics.  Any span of this run still open
+        (slots serving duplicates, fault-interrupted processes) is
+        force-closed here, and the run's recorder records nothing more.
         """
         if frame.closed:
             return
         frame.closed = True
         now = frame.cluster.sim.now
-        rec = self.recorder
+        rec = frame.recorder
         if rec.enabled:
-            previous = self.tracer.pid
-            self.tracer.pid = frame.pid
             rec.end(now, "run")
-            self.tracer.pid = previous
-        self._open_frames -= 1
-        if self._open_frames == 0:
-            # No collective in flight: any still-open protocol span is a
-            # leftover (slots serving duplicates, fault-interrupted
-            # processes).  Balance the stream here -- but only once the
-            # *last* overlapping frame closes, so one run's close never
-            # truncates another run's live spans.
-            self.tracer.close_open_spans(now)
+            rec.close(now)
         if result is not None:
             record_result(
                 self.metrics,

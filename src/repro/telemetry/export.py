@@ -4,11 +4,13 @@ The Chrome trace export follows the Trace Event Format understood by
 Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``: duration
 events (``ph: B``/``E``), instants (``i``), counters (``C``), and
 metadata (``M``) records naming processes and threads.  Each collective
-run becomes one *process* (pid) labeled with its algorithm; components
--- workers, aggregator slots, links, the packet stream, the fault
-stream -- become *threads* within it, so one timeline interleaves
-spans, packet events, samples, and fault entries on the simulator's
-virtual clock (exported in microseconds, the format's native unit).
+run becomes one *process* (pid) labeled with its algorithm, with its
+workers and aggregator slots as *threads*; the ``fabric`` process (pid
+0) holds the packet stream, the fault stream and the link samples, and
+the observatory and any fabric service have one process each.  One
+timeline interleaves spans, packet events, samples, and fault entries
+on the simulator's virtual clock (exported in microseconds, the
+format's native unit).
 """
 
 from __future__ import annotations
@@ -38,19 +40,34 @@ _ENCODE = json.JSONEncoder(separators=(",", ":"), default=float).encode
 
 #: Records encoded per ``write_chrome_trace`` chunk: enough to amortise
 #: the encoder call, few enough that no chunk's text grows with the run.
-_CHUNK_RECORDS = 8192
+#: A chunk's record dicts and encoder fragments are the export's whole
+#: transient memory, so the peak grows with this size.
+_CHUNK_RECORDS = 2048
 
 
 def _trace_records(telemetry) -> Iterator[Dict[str, Any]]:
     """Yield the Chrome trace's ``traceEvents`` records in document order."""
     tracer = telemetry.tracer
 
-    # Name each run's process after its algorithm; runs that declared a
-    # protocol feature set also get a ``process_labels`` metadata record
+    # Tracks map to integer thread ids, allocated per process in order
+    # of first appearance; metadata records carry the human name.
+    tids: Dict[Any, int] = {}
+    next_tid: Dict[int, int] = {}
+    for pid, ts, ph, track, name, cat, args in tracer.events:
+        key = (pid, track)
+        if key not in tids:
+            tids[key] = next_tid[pid] = next_tid.get(pid, 0) + 1
+
+    # Name each run's process after its algorithm, and pid 0 ``fabric``
+    # when it recorded anything; runs that declared a protocol feature
+    # set also get a ``process_labels`` metadata record
     # ("+enabled,-ablated" per feature), so the trace itself says which
     # protocol variant produced it.
+    labels = dict(telemetry.run_labels)
+    if 0 in next_tid:
+        labels[0] = "fabric"
     run_features = getattr(telemetry, "run_features", {})
-    for pid, label in sorted(telemetry.run_labels.items()):
+    for pid, label in sorted(labels.items()):
         yield {
             "ph": "M",
             "name": "process_name",
@@ -71,22 +88,14 @@ def _trace_records(telemetry) -> Iterator[Dict[str, Any]]:
                 "tid": 0,
                 "args": {"labels": stamp},
             }
-
-    # Tracks map to integer thread ids, allocated per process in order
-    # of first appearance; metadata records carry the human name.
-    tids: Dict[Any, int] = {}
-    next_tid: Dict[int, int] = {}
-    for pid, ts, ph, track, name, cat, args in tracer.events:
-        key = (pid, track)
-        if key not in tids:
-            tids[key] = next_tid[pid] = next_tid.get(pid, 0) + 1
-            yield {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tids[key],
-                "args": {"name": track},
-            }
+    for (pid, track), tid in tids.items():
+        yield {
+            "ph": "M",
+            "name": "thread_name",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": track},
+        }
 
     # Event records, globally ordered by virtual time.  Python's sort is
     # stable, so same-timestamp events keep their recording order and

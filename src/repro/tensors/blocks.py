@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -152,9 +152,6 @@ class BlockView:
             self._stride_groups[stride] = groups
         return groups[residue]
 
-    def is_nonzero(self, block: int) -> bool:
-        return bool(self.bitmap[block])
-
     def get_block(self, block: int) -> np.ndarray:
         """Return block ``block``, zero-padded to ``block_size``."""
         if not 0 <= block < self.blocks:
@@ -207,10 +204,3 @@ class BlockView:
                 return candidate
             candidate += stride
         return INFINITY
-
-    def iter_nonzero(self) -> Iterator[int]:
-        for index in self.nonzero_indices:
-            yield int(index)
-
-    def nonzero_blocks_data(self) -> List[np.ndarray]:
-        return [self.get_block(b) for b in self.iter_nonzero()]

@@ -1,4 +1,4 @@
-"""Tests for the halving-doubling AllReduce and the bucket API."""
+"""Tests for the halving-doubling AllReduce."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import HalvingDoublingAllReduce, RingAllReduce, prepare
-from repro.core import OmniReduce, OmniReduceConfig
 from repro.netsim import Cluster, ClusterSpec
 
 
@@ -95,37 +94,3 @@ def test_comparable_to_ring_on_large_tensors():
 def test_property_equals_numpy_sum(workers, size, seed):
     check(workers, size, seed=seed)
 
-
-# -- bucketed OmniReduce API --------------------------------------------------
-
-
-def test_bucket_allreduce_roundtrip():
-    rng = np.random.default_rng(4)
-    shapes = [(8, 4), (16,), (2, 3, 5)]
-    buckets = [
-        [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
-        for _ in range(4)
-    ]
-    cluster = make_cluster()
-    config = OmniReduceConfig(block_size=16, streams_per_shard=2, message_bytes=512)
-    result = OmniReduce(cluster, config).allreduce_bucket(buckets)
-    for w in range(4):
-        for i, shape in enumerate(shapes):
-            expected = np.sum(
-                np.stack([buckets[ww][i] for ww in range(4)]), axis=0
-            )
-            got = result.bucket_outputs[w][i]
-            assert got.shape == shape
-            np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-4)
-
-
-def test_bucket_validation():
-    cluster = make_cluster()
-    omni = OmniReduce(cluster)
-    with pytest.raises(ValueError):
-        omni.allreduce_bucket([[np.zeros((2, 2))]] * 3)  # wrong worker count
-    with pytest.raises(ValueError):
-        omni.allreduce_bucket([[]] * 4)  # empty buckets
-    mismatched = [[np.zeros((2, 2))]] * 3 + [[np.zeros((4,))]]
-    with pytest.raises(ValueError):
-        omni.allreduce_bucket(mismatched)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import registry
-from repro.conformance import ConformanceCase, default_matrix, run_case, sweep
+from repro.conformance import (
+    ConformanceCase,
+    default_matrix,
+    differential_matrix,
+    run_case,
+    sweep,
+)
 
 
 def test_case_validation():
@@ -23,6 +29,18 @@ def test_case_id_round_trip_fields():
     cid = case.case_id
     for token in ("ring", "w2", "ge-loss", "mutant:broken-result", "s3"):
         assert token in cid
+
+
+def test_case_id_names_non_default_aggregators():
+    assert "/a2/" in ConformanceCase(workers=4, aggregators=2).case_id
+    assert ConformanceCase(workers=4).case_id.startswith("omnireduce/w4/n")
+
+
+@pytest.mark.parametrize("level", ["smoke", "full"])
+@pytest.mark.parametrize("matrix", [default_matrix, differential_matrix])
+def test_matrix_case_ids_are_unique(matrix, level):
+    ids = [case.case_id for case in matrix(level)]
+    assert len(set(ids)) == len(ids)
 
 
 def test_run_case_is_deterministic():

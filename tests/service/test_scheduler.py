@@ -132,6 +132,35 @@ def test_fleet_trace_carries_job_spans_and_collectives():
     assert "fabric-service" in telemetry.run_labels.values()
 
 
+def test_job_spans_end_when_their_jobs_finish():
+    """Each ``jobs/<name>`` span lives on the service's own trace
+    process: no collective frame closing force-closes it early."""
+    telemetry = Telemetry(TelemetryConfig(record_packets=False))
+    service = FabricService(_cluster(), telemetry=telemetry)
+    service.offer(
+        [
+            _spec("a", workload="deeplight", compute_scale=0.002),
+            _spec("b", workload="lstm", compute_scale=0.002),
+        ],
+        [0.0, 0.0],
+    )
+    report = service.drain()
+    a, b = report.records
+    assert a.status == DONE and b.status == DONE
+    assert b.started_s < a.finished_s
+    service_pids = [
+        pid for pid, label in telemetry.run_labels.items()
+        if label == "fabric-service"
+    ]
+    ends = {
+        track: ts
+        for pid, ts, phase, track, _name, _cat, _args in telemetry.tracer.events
+        if phase == "E" and track.startswith("jobs/")
+        and pid in service_pids
+    }
+    assert ends == {f"jobs/{r.spec.name}": r.finished_s for r in report.records}
+
+
 def test_drain_ignores_background_processes():
     """drain() returns at fleet-idle even with an immortal background
     process keeping the event heap non-empty."""

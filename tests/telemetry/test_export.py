@@ -57,7 +57,8 @@ def test_trace_names_processes_after_algorithms():
         for e in tele.chrome_trace()["traceEvents"]
         if e["ph"] == "M" and e["name"] == "process_name"
     ]
-    assert names == ["omnireduce"]
+    # pid 0 is the fabric: it holds the packet stream, not a run.
+    assert names == ["fabric", "omnireduce"]
 
 
 def test_fault_entries_fold_into_the_trace():
@@ -158,11 +159,11 @@ def test_streamed_trace_of_empty_telemetry(tmp_path):
 
 def test_streamed_trace_encodes_numpy_scalars_as_floats(tmp_path):
     tele = Telemetry()
-    tele.reserve_pid("numpy-args")
-    tele.tracer.begin(
+    rec = tele.process("numpy-args")
+    rec.begin(
         1e-6, "t", "s", args={"f32": np.float32(0.25), "i64": np.int64(3)}
     )
-    tele.tracer.end(2e-6, "t")
+    rec.end(2e-6, "t")
     begin = [e for e in _written(tmp_path, tele)["traceEvents"]
              if e["ph"] == "B"]
     assert begin[0]["args"] == {"f32": 0.25, "i64": 3.0}
