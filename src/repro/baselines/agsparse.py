@@ -22,7 +22,7 @@ import numpy as np
 from ..core.collective import CollectiveResult
 from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
-from ..tensors.convert import ConversionCostModel, DEFAULT_CONVERSION_MODEL
+from ..tensors.convert import DEFAULT_CONVERSION_MODEL
 from ..tensors.encodings import bitmask_bytes, run_length_bytes
 from ..tensors.accumulate import coo_sum
 from ..tensors.sparse import CooTensor
@@ -77,7 +77,6 @@ class AGsparseAllReduce:
         cluster: Cluster,
         backend: str = "nccl",
         include_conversion: bool = True,
-        conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL,
         index_encoding: str = "coo",
     ) -> None:
         if backend not in BACKEND_OVERHEADS:
@@ -93,7 +92,6 @@ class AGsparseAllReduce:
         self.backend = backend
         self.step_overhead_s = BACKEND_OVERHEADS[backend]
         self.include_conversion = include_conversion
-        self.conversion_model = conversion_model
         self.index_encoding = index_encoding
 
     def allreduce(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
@@ -123,7 +121,7 @@ class AGsparseAllReduce:
             )
             for i in range(workers)
         ]
-        conversion = self.conversion_model
+        conversion = DEFAULT_CONVERSION_MODEL
 
         def worker_proc(rank: int):
             channel = channels[rank]

@@ -38,7 +38,6 @@ from ..core.rackreduce import (
 )
 from ..netsim.cluster import Cluster
 from ..netsim.flow import flow_view
-from ..tensors.convert import DEFAULT_CONVERSION_MODEL, ConversionCostModel
 from .agsparse import AGsparseAllReduce
 from .collectives import begin_ring_allgather, begin_tree_broadcast
 from .halving_doubling import HalvingDoublingAllReduce
@@ -183,7 +182,6 @@ class RingOptions(Options):
 class AGsparseOptions(Options):
     backend: str = "nccl"
     include_conversion: bool = True
-    conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL
     index_encoding: str = "coo"
 
 
@@ -191,14 +189,12 @@ class AGsparseOptions(Options):
 class SparCMLOptions(Options):
     mode: str = "auto"
     include_conversion: bool = True
-    conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL
 
 
 @dataclass(frozen=True)
 class PSOptions(Options):
     sparse: bool = False
     include_conversion: bool = True
-    conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL
 
 
 @dataclass(frozen=True)
@@ -541,7 +537,6 @@ def _agsparse(c: Cluster, o: AGsparseOptions) -> AGsparseAllReduce:
         c,
         backend=o.backend,
         include_conversion=o.include_conversion,
-        conversion_model=o.conversion_model,
         index_encoding=o.index_encoding,
     )
 
@@ -551,7 +546,6 @@ def _sparcml(c: Cluster, o: SparCMLOptions) -> SparCML:
         c,
         mode=o.mode,
         include_conversion=o.include_conversion,
-        conversion_model=o.conversion_model,
     )
 
 
@@ -560,7 +554,6 @@ def _ps(c: Cluster, o: PSOptions) -> ParameterServerAllReduce:
         c,
         sparse=o.sparse,
         include_conversion=o.include_conversion,
-        conversion_model=o.conversion_model,
     )
 
 

@@ -24,7 +24,7 @@ from ..core.collective import CollectiveResult
 from ..core.partition import split_ranges
 from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
-from ..tensors.convert import ConversionCostModel, DEFAULT_CONVERSION_MODEL
+from ..tensors.convert import DEFAULT_CONVERSION_MODEL
 from ..tensors.accumulate import CooAccumulator
 from ..tensors.sparse import CooTensor
 from .common import (
@@ -49,14 +49,12 @@ class ParameterServerAllReduce:
         cluster: Cluster,
         sparse: bool = False,
         include_conversion: bool = True,
-        conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL,
     ) -> None:
         if not cluster.aggregator_hosts:
             raise ValueError("parameter server needs aggregator hosts")
         self.cluster = cluster
         self.sparse = sparse
         self.include_conversion = include_conversion
-        self.conversion_model = conversion_model
 
     def allreduce(self, tensors: Sequence[np.ndarray]) -> CollectiveResult:
         return self.begin(tensors).wait()
@@ -94,7 +92,7 @@ class ParameterServerAllReduce:
         ]
         outputs = [np.zeros(size, dtype=np.float32) for _ in range(workers)]
         coos = [CooTensor.from_dense(f) for f in flats] if self.sparse else None
-        conversion = self.conversion_model
+        conversion = DEFAULT_CONVERSION_MODEL
 
         def worker_proc(rank: int):
             channel = worker_channels[rank]

@@ -29,7 +29,7 @@ from ..core.collective import CollectiveResult
 from ..core.partition import split_ranges
 from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
-from ..tensors.convert import ConversionCostModel, DEFAULT_CONVERSION_MODEL
+from ..tensors.convert import DEFAULT_CONVERSION_MODEL
 from ..tensors.sparse import CooTensor, INDEX_BYTES, VALUE_BYTES
 from .common import (
     LOCAL_REDUCE_BASE_S,
@@ -62,14 +62,12 @@ class SparCML:
         cluster: Cluster,
         mode: str = "auto",
         include_conversion: bool = True,
-        conversion_model: ConversionCostModel = DEFAULT_CONVERSION_MODEL,
     ) -> None:
         if mode not in SPARCML_MODES:
             raise ValueError(f"mode must be one of {SPARCML_MODES}, got {mode!r}")
         self.cluster = cluster
         self.mode = mode
         self.include_conversion = include_conversion
-        self.conversion_model = conversion_model
 
     # -- dispatch ---------------------------------------------------------
 
@@ -116,7 +114,7 @@ class SparCML:
         while len(partitions) < workers:
             partitions.append((size, size))
         outputs: List[Optional[np.ndarray]] = [None] * workers
-        conversion = self.conversion_model
+        conversion = DEFAULT_CONVERSION_MODEL
 
         def worker_proc(rank: int):
             channel = channels[rank]
@@ -229,7 +227,7 @@ class SparCML:
             p2 *= 2
         extras = workers - p2
         outputs: List[Optional[np.ndarray]] = [None] * workers
-        conversion = self.conversion_model
+        conversion = DEFAULT_CONVERSION_MODEL
 
         def worker_proc(rank: int):
             channel = channels[rank]

@@ -15,11 +15,12 @@ enforces the equivalence contract:
 * **completion time**: within a documented relative tolerance.
   Baselines run over :class:`~repro.netsim.flow.FlowTransport`, which
   books each segment through the packet kernel's own
-  ``Network.book_send`` / ``book_receive``, so their times must agree
-  (:data:`TRANSPORT_TIME_RTOL` bounds them).  The vectorized
-  OmniReduce engine re-derives the timeline analytically and is held to
-  :data:`~repro.core.flowreduce.TIME_RTOL` (documented in
-  ``docs/performance.md``).
+  ``Network.book_send`` / ``book_receive``, so their times must agree;
+  the rack-hierarchical, SwitchML* and Parallax flow timelines agree to
+  rounding too (:data:`TRANSPORT_TIME_RTOL` bounds them all).  Only the
+  vectorized flat-OmniReduce engine books cross-stream contention out
+  of order and is held to :data:`~repro.core.flowreduce.TIME_RTOL`
+  (documented in ``docs/performance.md``).
 
 Both runs must *also* individually pass the dense oracle and counter
 sanity checks; the packet run keeps the invariant monitors attached
@@ -54,15 +55,11 @@ __all__ = [
     "differential_matrix",
 ]
 
-#: Relative completion-time tolerance for collectives that run over
-#: FlowTransport (every non-OmniReduce baseline): both modes book
-#: through the same ``Network`` helpers, so the two timelines agree.
+#: Relative completion-time tolerance for every collective but flat
+#: OmniReduce: FlowTransport baselines book through the packet kernel's
+#: own ``Network`` helpers, and the rack-hierarchical, SwitchML* and
+#: Parallax flow timelines reproduce packet mode to rounding.
 TRANSPORT_TIME_RTOL = 1e-9
-
-#: Algorithm-name prefixes timed by the analytical OmniReduce flow
-#: engine (vectorized round collapse) rather than FlowTransport; held to
-#: the engine tolerance TIME_RTOL.
-_ENGINE_PREFIXES = ("omnireduce", "switchml", "parallax", "rackhier")
 
 #: Exact-match counter fields of CollectiveResult.
 _EXACT_COUNTERS = (
@@ -78,9 +75,7 @@ _EXACT_COUNTERS = (
 
 def time_tolerance(algorithm: str) -> float:
     """The documented relative completion-time tolerance for ``algorithm``."""
-    if algorithm.startswith(_ENGINE_PREFIXES):
-        return TIME_RTOL
-    return TRANSPORT_TIME_RTOL
+    return TIME_RTOL if algorithm == "omnireduce" else TRANSPORT_TIME_RTOL
 
 
 def flow_capable(case: ConformanceCase) -> Optional[str]:

@@ -32,7 +32,7 @@ from .config import MAX_STREAMS, OmniReduceConfig
 from .messages import VALUE_BYTES
 from .partition import FusionLayout, fusion_width, plan_streams
 from .pending import PendingCollective, PendingResult
-from .prefetch import CopyEngine, PrefetchSchedule
+from .prefetch import CopyEngine, PrefetchSchedule, block_gates
 from .worker import RecoveryStreamWorker, StreamWorker
 
 __all__ = ["OmniReduce", "CollectiveResult"]
@@ -41,20 +41,6 @@ __all__ = ["OmniReduce", "CollectiveResult"]
 DEFAULT_MESSAGE_BYTES = 16384
 
 _operation_ids = itertools.count()
-
-
-class _ShiftedReadiness:
-    """Adapter shifting a (relative) readiness schedule to absolute
-    simulation time."""
-
-    def __init__(self, inner, offset_s: float) -> None:
-        self._inner = inner
-        self._offset = offset_s
-        if hasattr(inner, "total_bytes"):
-            self.total_bytes = inner.total_bytes
-
-    def available_at(self, end_offset: int) -> float:
-        return self._inner.available_at(end_offset) + self._offset
 
 
 @dataclass
@@ -270,6 +256,7 @@ class OmniReduce:
         cluster: Cluster,
         total_elements: int,
         worker_start_delays: Optional[Sequence[float]],
+        gradient_readiness: Optional[Sequence] = None,
     ):
         """Derive one run's set-up from the config, features and cluster.
 
@@ -277,9 +264,11 @@ class OmniReduce:
         :class:`~repro.core.flowreduce.FlowOmniReduce`) must agree on
         before any protocol work starts: the operation prefix and start
         time, the bitmap charge, per-worker start delays with injected
-        straggler delay folded in, the host-to-NIC prefetch schedules,
-        the fusion width and the stream plan.  Returns ``(prefix,
-        start, bitmap_delay, start_delays, prefetches, width, plan)``.
+        straggler delay folded in, each block's send gate
+        (:func:`~repro.core.prefetch.block_gates`: host-to-NIC prefetch
+        and gradient readiness, ``None`` when neither applies), the
+        fusion width and the stream plan.  Returns ``(prefix, start,
+        bitmap_delay, start_delays, gates, width, plan)``.
         """
         spec = cluster.spec
         config = self.config
@@ -307,10 +296,8 @@ class OmniReduce:
         chunking = (
             {} if features.chunk_prefetch else {"chunk_bytes": max(1, tensor_bytes)}
         )
-        prefetches: List[Optional[PrefetchSchedule]] = [
-            None
-            if spec.gdr
-            else PrefetchSchedule(
+        prefetches = None if spec.gdr else [
+            PrefetchSchedule(
                 tensor_bytes,
                 spec.pcie_gbps * 1e9,
                 start_s=start + bitmap_delay + start_delays[worker_id],
@@ -318,12 +305,20 @@ class OmniReduce:
             )
             for worker_id in range(spec.workers)
         ]
+        total_blocks = num_blocks(total_elements, config.block_size)
+        gates = block_gates(
+            prefetches,
+            gradient_readiness,
+            [start + delay for delay in start_delays],
+            total_blocks,
+            config.block_size * VALUE_BYTES,
+        )
 
         width = fusion_width(
             config.block_size, VALUE_BYTES, self._payload_budget(), features.fusion
         )
         plan = plan_streams(
-            num_blocks(total_elements, config.block_size),
+            total_blocks,
             spec.num_shards,
             config.effective_streams_per_shard,
         )
@@ -332,7 +327,7 @@ class OmniReduce:
                 f"{len(plan)} streams exceed the 12-bit slot id space of §5 "
                 f"({MAX_STREAMS}); lower streams_per_shard or the shard count"
             )
-        return prefix, start, bitmap_delay, start_delays, prefetches, width, plan
+        return prefix, start, bitmap_delay, start_delays, gates, width, plan
 
     def _run_details(
         self,
@@ -386,9 +381,16 @@ class OmniReduce:
         features = config.features
         sim = self.cluster.sim
         transport = self.cluster.transport
-        prefix, start, bitmap_delay, start_delays, prefetches, width, plan = (
-            self._plan_run(self.cluster, tensors[0].size, worker_start_delays)
+        prefix, start, bitmap_delay, start_delays, gates, width, plan = (
+            self._plan_run(
+                self.cluster, tensors[0].size, worker_start_delays, gradient_readiness
+            )
         )
+        # One Python list per worker: the packet hot path indexes floats.
+        gate_columns = [
+            None if gates is None else gates[:, worker_id].tolist()
+            for worker_id in range(spec.workers)
+        ]
 
         outputs = [t.astype(np.float32, copy=True) for t in tensors]
         views = [BlockView(out, config.block_size) for out in outputs]
@@ -410,17 +412,6 @@ class OmniReduce:
                         f"failover shard {crash.failover_shard} out of range"
                     )
                 crashes.append(crash)
-        readiness_schedules: List[Optional[_ShiftedReadiness]] = []
-        for worker_id in range(spec.workers):
-            if gradient_readiness is None:
-                readiness_schedules.append(None)
-            else:
-                readiness_schedules.append(
-                    _ShiftedReadiness(
-                        gradient_readiness[worker_id],
-                        start + start_delays[worker_id],
-                    )
-                )
 
         down_engines: List[Optional[CopyEngine]] = [
             None if spec.gdr else CopyEngine(spec.pcie_gbps * 1e9)
@@ -485,7 +476,7 @@ class OmniReduce:
                     agg_host=agg_host,
                     layout=layouts[stream_range.stream][worker_id],
                     view=views[worker_id],
-                    prefetch=prefetches[worker_id],
+                    gate=gate_columns[worker_id],
                     down_engine=down_engines[worker_id],
                     # Respawned generations start immediately: the bitmap
                     # charge and any straggler delay already elapsed.
@@ -495,7 +486,6 @@ class OmniReduce:
                         else 0.0
                     ),
                     reduction=config.reduction,
-                    readiness=readiness_schedules[worker_id],
                     contrib_view=contrib_views[worker_id],
                     port_suffix=suffix,
                     recorder=recorder,

@@ -12,6 +12,10 @@ precomputed as numpy array programs over the exact same formulas:
 * the **round schedule** -- requested blocks, responders and payload
   bytes per stream and round -- is :func:`~repro.core.roundplan
   .plan_rounds`, the one derivation of the lossless schedule;
+* a worker sends a round no earlier than the latest send gate among
+  the blocks it lists in it: the ``(blocks x workers)`` array of
+  :func:`~repro.core.prefetch.block_gates`, the same values the packet
+  worker reads one block at a time;
 * a round completes at the delivery of its *last* responder packet;
 * every NIC stage is the packet kernel's ``max(ready, free) + cost``
   recurrence, evaluated with :func:`~repro.netsim.flow.cpu_chain` /
@@ -159,7 +163,7 @@ class FlowOmniReduce(OmniReduce):
         block_size = config.block_size
         num_workers = spec.workers
         total = int(np.asarray(tensors[0]).size)
-        prefix, start, bitmap_delay, start_delays, prefetches, width, ranges = (
+        prefix, start, bitmap_delay, start_delays, gates, width, ranges = (
             self._plan_run(cluster, total, worker_start_delays)
         )
 
@@ -175,7 +179,6 @@ class FlowOmniReduce(OmniReduce):
         for worker_id, tensor in enumerate(tensors):
             flat[worker_id, :total] = tensor.reshape(-1)
         outputs = [flat[worker_id, :total] for worker_id in range(num_workers)]
-        tensor_bytes = total * VALUE_BYTES
 
         gdr = spec.gdr
         pcie_bps = spec.pcie_gbps * 1e9
@@ -217,24 +220,14 @@ class FlowOmniReduce(OmniReduce):
         down_free = np.zeros(num_workers)
         data_bytes = block_size * VALUE_BYTES
 
-        # Vectorized PrefetchSchedule.available_at over worker subsets:
-        # same chunk arithmetic as prefetch.py, as arrays.
-        if not gdr:
-            pf_start = np.array([p.start_s for p in prefetches])
-            pf_finish = np.array([p.finish_s for p in prefetches])
-            pf_chunk = prefetches[0].chunk_bytes
-            pf_chunk_t = pf_chunk * 8.0 / pcie_bps
-            pf_last = max(_num_blocks(tensor_bytes, pf_chunk) - 1, 0)
-
-        def avail_for(workers_sel: np.ndarray, max_blocks: np.ndarray) -> np.ndarray:
-            """available_at of each worker's deepest listed block end."""
-            end = np.minimum((max_blocks + 1) * data_bytes, tensor_bytes)
-            chunk = (end - 1) // pf_chunk
+        def send_gate(st, j: int) -> np.ndarray:
+            """Per worker, the latest gate among the blocks it lists in
+            round ``j`` of stream ``st`` (``-inf`` if it lists none)."""
+            valid_j = st.valid[:, j]
+            blocks = st.lo + st.stride * st.req[valid_j, j]
             return np.where(
-                chunk >= pf_last,
-                pf_finish[workers_sel],
-                pf_start[workers_sel] + (chunk + 1) * pf_chunk_t,
-            )
+                st.listed[:, valid_j, j].T, gates[blocks], -np.inf
+            ).max(axis=0)
 
         streams = plan.streams
         num_streams = len(streams)
@@ -366,21 +359,16 @@ class FlowOmniReduce(OmniReduce):
                 result[idx[seen]] = acc[seen]
 
         # -- round 0: every (stream, worker) sends its first-row packet ---
-        # Send time: start delay, bitmap charge, then the prefetch gate of
-        # the deepest listed first-row block.  Bookings replay the packet
-        # kernel's global event order: (send time, stream, worker).
+        # Send time: start delay, bitmap charge, then the send gate of the
+        # listed first-row blocks.  Bookings replay the packet kernel's
+        # global event order: (send time, stream, worker).
         base_t = start + bitmap_delay + np.asarray(start_delays)
         t0 = np.empty((num_streams, num_workers))
         wire0 = np.empty((num_streams, num_workers), dtype=np.int64)
         for s, st in enumerate(streams):
             wire0[s] = wire(st.round0_payload)
-            t_s = base_t.copy()
-            if not gdr:
-                sel = np.nonzero(st.counts[:, 0] > 0)[0]
-                if len(sel):
-                    t_s[sel] = np.maximum(t_s[sel], avail_for(sel, st.deep[sel, 0]))
-            t0[s] = t_s
-            wait_from[s] = t_s
+            t0[s] = base_t if gates is None else np.maximum(base_t, send_gate(st, 0))
+            wait_from[s] = t0[s]
 
         # Global transmit order: (send time, stream, worker) -- the packet
         # kernel's same-time tie-break is process spawn order.
@@ -512,10 +500,8 @@ class FlowOmniReduce(OmniReduce):
                 # Every worker responds (the common chatty case): book
                 # on the worker-state views with no fancy indexing.
                 send_at = deliver
-                if not gdr:
-                    send_at = np.maximum(
-                        send_at, avail_for(resp, st.deep[:, j + 1])
-                    )
+                if gates is not None:
+                    send_at = np.maximum(send_at, send_gate(st, j + 1))
                 wait_from[s] = send_at
                 sizes = resp_wire[s][:, j + 1]
                 tx_ready = np.maximum(send_at, tx_free_w) + tx_cost_w
@@ -526,10 +512,8 @@ class FlowOmniReduce(OmniReduce):
                 sent_pkts_w += 1
             else:
                 send_at = deliver[resp]
-                if not gdr:
-                    send_at = np.maximum(
-                        send_at, avail_for(resp, st.deep[resp, j + 1])
-                    )
+                if gates is not None:
+                    send_at = np.maximum(send_at, send_gate(st, j + 1)[resp])
                 wait_from[s, resp] = send_at
                 sizes = resp_wire[s][resp, j + 1]
                 tx_ready = np.maximum(send_at, tx_free_w[resp]) + tx_cost_w[resp]

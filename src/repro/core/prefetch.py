@@ -13,17 +13,25 @@ flat-lining above 90% sparsity while GDR keeps improving.
 host memory"; :class:`CopyEngine` is a serialized rate-limited stage for
 the downward (host->GPU) copies.  GDR configurations simply do not
 instantiate them.
+
+:func:`block_gates` folds both gates -- bytes host-resident, gradient
+produced -- into one per-block send time for every worker: the one
+answer to "when may this block go on the wire" that the packet worker
+and the flow engine both read.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "PrefetchSchedule",
     "CopyEngine",
     "LinearReadiness",
-    "InstantReadiness",
+    "block_gates",
     "DEFAULT_CHUNK_BYTES",
 ]
 
@@ -98,9 +106,9 @@ class LinearReadiness:
     tensor's tail (``reverse=True``, the backward order) or head.
 
     ``available_at(end_offset)`` answers when bytes ``[0, end_offset)``
-    are all ready, mirroring :class:`PrefetchSchedule`'s interface so the
-    worker can take the max of the two gates (gradient produced, then
-    copied to host).
+    are all ready, mirroring :class:`PrefetchSchedule`'s interface so
+    :func:`block_gates` can take the max of the two gates (gradient
+    produced, then copied to host).
     """
 
     def __init__(
@@ -125,7 +133,7 @@ class LinearReadiness:
 
     def available_at(self, end_offset: int) -> float:
         if end_offset <= 0:
-            return self.start_s if self.reverse else self.start_s
+            return self.start_s
         if end_offset > self.total_bytes:
             raise ValueError(
                 f"offset {end_offset} beyond tensor of {self.total_bytes} bytes"
@@ -133,27 +141,59 @@ class LinearReadiness:
         if self.total_bytes == 0 or self.duration_s == 0:
             return self.start_s
         if self.reverse:
-            # Byte b is produced at start + (1 - b/total) * duration.
-            # The worker queries per block; a block is gated by its
-            # earliest-produced... i.e. in reverse order its *first*
-            # byte, which we approximate by the queried end offset (the
-            # error is bounded by one block over the tensor, < 0.1% at
-            # realistic sizes).
+            # Byte b is produced at start + (1 - b/total) * duration; the
+            # block ending at end_offset is gated at its last byte, not
+            # its first (produced last), so early by one block's time.
             fraction = 1.0 - (end_offset - 1) / self.total_bytes
         else:
             fraction = end_offset / self.total_bytes
         return self.start_s + fraction * self.duration_s
 
 
-class InstantReadiness:
-    """Gradient fully ready at ``start_s`` (the no-overlap default)."""
+def block_gates(
+    prefetches: Optional[Sequence[PrefetchSchedule]],
+    readiness: Optional[Sequence],
+    starts: Sequence[float],
+    num_blocks: int,
+    block_bytes: int,
+) -> Optional[np.ndarray]:
+    """Each block's earliest send time at each worker, ``[block, worker]``.
 
-    def __init__(self, start_s: float = 0.0) -> None:
-        self.start_s = start_s
-        self.finish_s = start_s
+    A block may leave worker ``w`` once bytes ``[0, end)`` -- ``end`` the
+    block's end offset -- are host-resident (``prefetches[w]``: one
+    operation's schedules, sharing tensor and chunk size; ``None`` with
+    GPU-direct RDMA) and its gradient exists (``readiness[w]``, times
+    relative to the worker's start ``starts[w]``).  Returns ``None`` when
+    neither gate applies.
 
-    def available_at(self, end_offset: int) -> float:
-        return self.start_s
+    Prefetch is evaluated once per chunk and broadcast to the chunk's
+    blocks: :meth:`PrefetchSchedule.available_at` depends only on the
+    chunk index, so every value is the very float a per-block call would
+    return.  It rises with the offset, so the max over any block set is
+    the value at the set's deepest block.
+    """
+    if prefetches is None and readiness is None:
+        return None
+    ends = np.arange(1, num_blocks + 1, dtype=np.int64) * block_bytes
+    gates = np.full((num_blocks, len(starts)), -np.inf)
+    if prefetches is not None:
+        chunk_bytes = prefetches[0].chunk_bytes
+        total = prefetches[0].total_bytes
+        per_chunk = np.array([
+            [p.available_at(min((chunk + 1) * chunk_bytes, total)) for p in prefetches]
+            for chunk in range(prefetches[0].num_chunks)
+        ])
+        gates = per_chunk[(np.minimum(ends, total) - 1) // chunk_bytes]
+    if readiness is not None:
+        for worker, schedule in enumerate(readiness):
+            total = getattr(schedule, "total_bytes", None)
+            ready = np.array([
+                schedule.available_at(end if total is None else min(end, total))
+                + starts[worker]
+                for end in ends.tolist()
+            ])
+            gates[:, worker] = np.maximum(gates[:, worker], ready)
+    return gates
 
 
 class CopyEngine:

@@ -34,9 +34,9 @@ construction; only the timing machinery differs:
   analytically with :func:`~repro.netsim.flow.cpu_chain` /
   :func:`~repro.netsim.flow.serialize_chain`, including the shared
   topology pipes (:mod:`repro.netsim.topology`), booked in the packet
-  kernel's global send-call order.  Completion times agree within
-  :data:`~repro.core.flowreduce.TIME_RTOL` (the differential gauntlet
-  enforces it); this is what makes 4096-worker fat-tree sweeps finish
+  kernel's global send-call order.  Completion times agree to rounding,
+  within :data:`~repro.conformance.differential.TRANSPORT_TIME_RTOL`
+  (the differential gauntlet enforces it); this is what makes 4096-worker fat-tree sweeps finish
   in seconds (``figure-6-scale``).
 
 Both engines model NIC time only (no PCIe/GPU copy stages) and have no

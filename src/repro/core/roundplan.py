@@ -41,7 +41,9 @@ _ENTRY_BYTES = 2 * OFFSET_BYTES
 class StreamRounds:
     """One stream's schedule.  Arrays are indexed ``[lane, round]``,
     ``[worker, round]`` or ``[round]``; ``listed`` is
-    ``[worker, lane, round]``."""
+    ``[worker, lane, round]``.  The schedule holds no time: when a
+    worker may send a round's blocks is read from the send gates of
+    :func:`~repro.core.prefetch.block_gates` over ``listed``."""
 
     __slots__ = (
         "shard",
@@ -58,7 +60,6 @@ class StreamRounds:
         "mc_payload",  # result multicast per round
         "resp_payload",  # response per (worker, round); round 0 unused
         "resp_mask",  # worker answers the round's request
-        "deep",  # deepest listed block per (worker, round), -1 if none
     )
 
 
@@ -135,8 +136,6 @@ def plan_rounds(
                 PACKET_FIXED_BYTES + _ENTRY_BYTES * active[None, :] + counts * data_bytes
             )
             st.resp_mask = np.broadcast_to(active[None, :] > 0, counts.shape)
-        deep_pos = np.where(listed, req[None, :, :], -1).max(axis=1)
-        st.deep = np.where(deep_pos >= 0, lo + stride * deep_pos, -1)
         planned.append(st)
 
     plan = RoundPlan()

@@ -24,7 +24,7 @@ from ..telemetry.spans import NULL_RECORDER
 from ..tensors.blocks import BlockView, INFINITY
 from .messages import VALUE_BYTES, LaneEntry, ResultPacket, WorkerPacket, encode_immediate
 from .partition import FusionLayout
-from .prefetch import CopyEngine, PrefetchSchedule
+from .prefetch import CopyEngine
 
 __all__ = ["StreamWorker", "RecoveryStreamWorker", "StreamWorkerStats"]
 
@@ -59,11 +59,10 @@ class _StreamWorkerBase:
         agg_host: str,
         layout: FusionLayout,
         view: BlockView,
-        prefetch: Optional[PrefetchSchedule] = None,
+        gate: Optional[List[float]] = None,
         down_engine: Optional[CopyEngine] = None,
         start_delay_s: float = 0.0,
         reduction: str = "sum",
-        readiness=None,
         contrib_view: Optional[BlockView] = None,
         port_suffix: str = "",
         recorder=NULL_RECORDER,
@@ -82,13 +81,11 @@ class _StreamWorkerBase:
         # results may already be stored, so crash-capable runs pass a
         # separate contribution view.
         self.contrib = contrib_view if contrib_view is not None else view
-        self.prefetch = prefetch
+        # Earliest send time per block (this worker's column of
+        # prefetch.block_gates); ``None``: every block is available at
+        # once and the per-packet delay scan is skipped wholesale.
+        self.gate = gate
         self.down_engine = down_engine
-        self.readiness = readiness
-        # With neither a readiness schedule nor a prefetch plan, every
-        # block is available immediately: the per-packet delay scan
-        # always returns 0 and is skipped wholesale.
-        self._gated = readiness is not None or prefetch is not None
         self.start_delay_s = start_delay_s
         self.agg_host = agg_host
         stream = layout.range.stream
@@ -117,24 +114,6 @@ class _StreamWorkerBase:
         ]
 
     # -- data movement helpers -------------------------------------------
-
-    def _block_available_at(self, block: int) -> float:
-        """When the block can be transmitted: the gradient has been
-        produced (readiness schedule, compute/comm overlap) *and* its
-        bytes are host-resident (chunk prefetch)."""
-        available = self.sim.now
-        end_byte = (block + 1) * self.layout.view.block_size * VALUE_BYTES
-        if self.readiness is not None:
-            offset = min(end_byte, self.readiness.total_bytes) if hasattr(
-                self.readiness, "total_bytes"
-            ) else end_byte
-            available = max(available, self.readiness.available_at(offset))
-        if self.prefetch is not None:
-            available = max(
-                available,
-                self.prefetch.available_at(min(end_byte, self.prefetch.total_bytes)),
-            )
-        return available
 
     def _store_result_lanes(self, packet: ResultPacket) -> None:
         """Write aggregated blocks into the local tensor; book the
@@ -203,15 +182,17 @@ class _StreamWorkerBase:
             )
 
     def _data_delay(self, packet: WorkerPacket) -> float:
-        """Seconds to wait until every data block in ``packet`` has been
-        prefetched into host memory."""
-        if not self._gated:
+        """Seconds to wait until every data block in ``packet`` may be
+        sent: its gradient produced and its bytes host-resident."""
+        gate = self.gate
+        if gate is None:
             return 0.0
-        avail = self.sim.now
+        now = self.sim.now
+        avail = now
         for entry in packet.lanes:
-            if entry.data is not None:
-                avail = max(avail, self._block_available_at(entry.block))
-        return max(0.0, avail - self.sim.now)
+            if entry.data is not None and gate[entry.block] > avail:
+                avail = gate[entry.block]
+        return avail - now
 
     def pending_blocks(self) -> int:
         """Listed (non-zero) blocks this worker has not yet transmitted.

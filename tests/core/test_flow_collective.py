@@ -15,6 +15,7 @@ from repro.core.collective import OmniReduce
 from repro.core.config import OmniReduceConfig
 from repro.core import flowreduce
 from repro.core.flowreduce import TIME_RTOL, FlowOmniReduce
+from repro.core.prefetch import LinearReadiness
 from repro.faults import AggregatorCrash, FaultPlan, StragglerSchedule
 from repro.netsim import Cluster, ClusterSpec
 from repro.netsim.flow import FlowUnsupported, flow_view
@@ -178,8 +179,11 @@ def test_flow_unsupported_gates():
         ),
         config=OmniReduceConfig(recovery=False),
     )
-    # Overlap readiness callbacks interleave with packet events.
-    expect_refusal(gradient_readiness=[[(0.0, 2048)]] * 4)
+    # Gradient readiness is refused until flow folds follow packet
+    # arrival order (ROADMAP 9a waits on 10b).
+    expect_refusal(
+        gradient_readiness=[LinearReadiness(tensors[0].nbytes, 1e-4)] * 4
+    )
 
 
 def test_switchml_flow_matches_packet():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OmniReduce, OmniReduceConfig
-from repro.core.prefetch import InstantReadiness, LinearReadiness
+from repro.core.prefetch import LinearReadiness
 from repro.netsim import Cluster, ClusterSpec
 from repro.tensors import block_sparse_tensors
 
@@ -42,12 +42,6 @@ def test_linear_readiness_validation():
         LinearReadiness(10, -1.0)
     with pytest.raises(ValueError):
         LinearReadiness(10, 1.0).available_at(11)
-
-
-def test_instant_readiness():
-    sched = InstantReadiness(start_s=2.0)
-    assert sched.available_at(0) == 2.0
-    assert sched.available_at(10**9) == 2.0
 
 
 def test_overlap_result_still_exact():
@@ -131,4 +125,6 @@ def test_readiness_composes_with_prefetch():
 def test_readiness_validation():
     omni = OmniReduce(make_cluster())
     with pytest.raises(ValueError):
-        omni.allreduce(inputs(), gradient_readiness=[InstantReadiness()])
+        omni.allreduce(
+            inputs(), gradient_readiness=[LinearReadiness(1024 * 256 * 4, 1e-3)]
+        )

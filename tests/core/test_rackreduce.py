@@ -2,8 +2,8 @@
 
 The packet engine is checked against the dense oracle; the flow engine
 is checked against the packet engine on identical inputs -- bit-equal
-tensors, exactly equal wire counters, completion time within the
-engine tolerance -- across the shapes that exercise every protocol
+tensors, exactly equal wire counters, completion time equal to
+rounding (``TRANSPORT_TIME_RTOL``) -- across the shapes that exercise every protocol
 edge (uneven racks, single-member racks, all-zero inputs, multi-segment
 messages, fat trees, stragglers).
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines.api import RackHierarchicalOptions
 from repro.baselines.registry import ALGORITHMS
-from repro.core.flowreduce import TIME_RTOL
+from repro.conformance.differential import TRANSPORT_TIME_RTOL
 from repro.core.rackreduce import RackHierarchicalOmniReduce
 from repro.faults.models import AggregatorCrash, FaultPlan
 from repro.netsim import Cluster, ClusterSpec, FatTreeTopology, rack_map_for
@@ -106,7 +106,7 @@ def test_flow_matches_packet_flat(workers, aggregators, rack_size, elements, kw)
         assert np.array_equal(p, f)
     for name in EXACT:
         assert getattr(pres, name) == getattr(fres, name), name
-    assert fres.time_s == pytest.approx(pres.time_s, rel=TIME_RTOL)
+    assert fres.time_s == pytest.approx(pres.time_s, rel=TRANSPORT_TIME_RTOL)
 
 
 @pytest.mark.parametrize("sparsity", [0.0, 0.7, 1.0])
@@ -120,7 +120,7 @@ def test_flow_matches_packet_on_fat_tree(sparsity):
         assert np.array_equal(p, f)
     for name in EXACT:
         assert getattr(pres, name) == getattr(fres, name), name
-    assert fres.time_s == pytest.approx(pres.time_s, rel=TIME_RTOL)
+    assert fres.time_s == pytest.approx(pres.time_s, rel=TRANSPORT_TIME_RTOL)
 
 
 def test_flow_matches_packet_with_stragglers():
@@ -141,7 +141,7 @@ def test_flow_matches_packet_with_stragglers():
         assert np.array_equal(p, f)
     for name in EXACT:
         assert getattr(pres, name) == getattr(fres, name), name
-    assert fres.time_s == pytest.approx(pres.time_s, rel=TIME_RTOL)
+    assert fres.time_s == pytest.approx(pres.time_s, rel=TRANSPORT_TIME_RTOL)
     # A straggling member delays its rack's whole chain.
     base = _run(_cluster(8, 2, topology=True), tensors, rack_size=2)
     assert pres.time_s > base.time_s
