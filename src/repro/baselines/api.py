@@ -37,7 +37,7 @@ from ..core.rackreduce import (
     RackHierarchicalOmniReduce,
 )
 from ..netsim.cluster import Cluster
-from ..netsim.flow import flow_view
+from ..netsim.flow import flow_view, is_flow_view
 from .agsparse import AGsparseAllReduce
 from .collectives import begin_ring_allgather, begin_tree_broadcast
 from .halving_doubling import HalvingDoublingAllReduce
@@ -225,9 +225,12 @@ def _sim_cluster(cluster: Cluster, options: Options) -> Cluster:
     """Apply ``options.sim_mode`` to ``cluster``.
 
     ``"packet"`` returns the cluster unchanged; ``"flow"`` returns a
-    :class:`~repro.netsim.flow.FlowCluster` view over it (validating the
-    configuration eagerly, so unsupported setups fail at ``prepare``
-    time rather than mid-collective).
+    :class:`~repro.netsim.flow.FlowCluster` view over it.  The view's
+    transport refuses a lossy network and the datagram transport right
+    here, at ``prepare`` time; the flow engines' own refusals (a tiered
+    topology for flat OmniReduce, gradient readiness, Algorithm 2
+    recovery, aggregator crashes, deadlines) raise
+    :class:`~repro.netsim.flow.FlowUnsupported` at the first collective.
     """
     mode = getattr(options, "sim_mode", "packet")
     if mode == "packet":
@@ -258,8 +261,9 @@ class Session:
     :class:`~repro.core.pending.PendingResult`, so several operations
     (or several jobs) can interleave on one simulator -- and a blocking
     form, ``allreduce``/``allgather``/``broadcast``, which is that
-    handle's ``wait()``.  Subclasses implement only the ``_submit*``
-    hooks.
+    handle's ``wait()``.  An AllReduce begins ``engine``, the object
+    the registry's factory built; subclasses override the
+    ``_submit_allgather``/``_submit_broadcast`` hooks for native ones.
 
     Sessions are context managers: ``close()`` (idempotent, also called
     by ``__exit__``) detaches the session's telemetry from the cluster
@@ -276,9 +280,11 @@ class Session:
         options: Options,
         algorithm: str = "",
         features: Optional[ProtocolFeatures] = None,
+        engine=None,
     ) -> None:
         self.cluster = cluster
         self.options = options
+        self.engine = engine
         self.algorithm = algorithm or type(self).__name__
         #: The protocol feature set stamped into telemetry recordings:
         #: the engine's resolved set when the collective consults the
@@ -372,7 +378,7 @@ class Session:
     def _submit(
         self, tensors: Sequence[np.ndarray], **kwargs
     ) -> PendingCollective:
-        raise NotImplementedError
+        return self.engine.begin(tensors, **kwargs)
 
     def _submit_allgather(self, tensors: Sequence[np.ndarray]) -> PendingCollective:
         return begin_ring_allgather(self.cluster, tensors)
@@ -381,27 +387,7 @@ class Session:
         return begin_tree_broadcast(self.cluster, tensor, root=root)
 
 
-class _EngineSession(Session):
-    """Session delegating AllReduce to a prebuilt engine object."""
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        options: Options,
-        engine,
-        algorithm: str = "",
-        features: Optional[ProtocolFeatures] = None,
-    ) -> None:
-        super().__init__(cluster, options, algorithm, features)
-        self.engine = engine
-
-    def _submit(
-        self, tensors: Sequence[np.ndarray], **kwargs
-    ) -> PendingCollective:
-        return self.engine.begin(tensors, **kwargs)
-
-
-class OmniReduceSession(_EngineSession):
+class OmniReduceSession(Session):
     """OmniReduce session: all three collectives are native (§7)."""
 
     def _submit_allgather(self, tensors: Sequence[np.ndarray]) -> PendingCollective:
@@ -447,25 +433,35 @@ class Collective:
 
 
 class _FactoryCollective(Collective):
-    """Collective whose engine is built by ``factory(cluster, options)``."""
+    """Collective whose engine is built by ``factory(cluster, options)``.
 
-    def __init__(self, name, options_cls, factory, summary="", preset=None) -> None:
+    ``prepare`` hands the factory the cluster as ``options.sim_mode``
+    selects it (a flow-mode view in flow mode), so the factory alone
+    picks the engine class; ``session`` is the session class wrapping
+    that engine.
+    """
+
+    def __init__(
+        self, name, options_cls, factory, summary="", preset=None,
+        session=Session,
+    ) -> None:
         self.name = name
         self.options_cls = options_cls
         self._factory = factory
         self.summary = summary
         self.preset = preset or {}
+        self._session_cls = session
 
     def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
         opts = self._coerce(options)
         cluster = _sim_cluster(cluster, opts)
         engine = self._factory(cluster, opts)
-        return _EngineSession(
+        return self._session_cls(
             cluster,
             opts,
-            engine,
             algorithm=self.name,
             features=getattr(engine, "features", None),
+            engine=engine,
         )
 
 
@@ -476,60 +472,22 @@ def _engine_config(opts: Options) -> Optional[OmniReduceConfig]:
     return (opts.config or OmniReduceConfig()).with_(features=opts.features)
 
 
-class OmniReduceCollective(Collective):
-    """OmniReduce behind the unified protocol."""
-
-    name = "omnireduce"
-    options_cls = OmniReduceOptions
-    summary = "sparse streaming aggregation (this paper)"
-
-    def prepare(self, cluster: Cluster, options=None) -> Session:
-        opts = self._coerce(options)
-        target = _sim_cluster(cluster, opts)
-        engine_cls = OmniReduce if target is cluster else FlowOmniReduce
-        engine = engine_cls(target, _engine_config(opts))
-        return OmniReduceSession(
-            target,
-            opts,
-            engine,
-            algorithm=self.name,
-            features=engine.config.features,
-        )
+def _omnireduce(c: Cluster, o: OmniReduceOptions) -> OmniReduce:
+    engine_cls = FlowOmniReduce if is_flow_view(c) else OmniReduce
+    return engine_cls(c, _engine_config(o))
 
 
-class RackHierarchicalCollective(Collective):
-    """Rack-hierarchical OmniReduce behind the unified protocol.
-
-    Dispatches on ``sim_mode`` like :class:`OmniReduceCollective`: the
-    packet engine is the per-packet oracle, the flow engine replays it
-    analytically -- including shared topology pipes, which the flat
-    OmniReduce flow engine refuses.
-    """
-
-    name = "rackhier"
-    options_cls = RackHierarchicalOptions
-    summary = "rack-hierarchical sparse aggregation over tiered fabrics"
-
-    def prepare(self, cluster: Cluster, options=None) -> Session:
-        opts = self._coerce(options)
-        target = _sim_cluster(cluster, opts)
-        engine_cls = (
-            RackHierarchicalOmniReduce if target is cluster else FlowRackHierarchical
-        )
-        engine = engine_cls(
-            target,
-            rack_size=opts.rack_size,
-            block_size=opts.block_size,
-            segment_bytes=opts.segment_bytes,
-            features=opts.features,
-        )
-        return _EngineSession(
-            target,
-            opts,
-            engine,
-            algorithm=self.name,
-            features=engine.features,
-        )
+def _rackhier(c: Cluster, o: RackHierarchicalOptions) -> RackHierarchicalOmniReduce:
+    # The flow engine replays the packet oracle analytically, including
+    # shared topology pipes (which the flat OmniReduce flow engine refuses).
+    engine_cls = FlowRackHierarchical if is_flow_view(c) else RackHierarchicalOmniReduce
+    return engine_cls(
+        c,
+        rack_size=o.rack_size,
+        block_size=o.block_size,
+        segment_bytes=o.segment_bytes,
+        features=o.features,
+    )
 
 
 def _agsparse(c: Cluster, o: AGsparseOptions) -> AGsparseAllReduce:
@@ -565,8 +523,19 @@ def _factories() -> Dict[str, Collective]:
     differ only in the ``preset`` they pin.
     """
     return {
-        "omnireduce": OmniReduceCollective(),
-        "rackhier": RackHierarchicalCollective(),
+        "omnireduce": _FactoryCollective(
+            "omnireduce",
+            OmniReduceOptions,
+            _omnireduce,
+            "sparse streaming aggregation (this paper)",
+            session=OmniReduceSession,
+        ),
+        "rackhier": _FactoryCollective(
+            "rackhier",
+            RackHierarchicalOptions,
+            _rackhier,
+            "rack-hierarchical sparse aggregation over tiered fabrics",
+        ),
         "ring": _FactoryCollective(
             "ring",
             RingOptions,

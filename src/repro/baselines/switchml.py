@@ -22,6 +22,7 @@ from ..core.config import OmniReduceConfig
 from ..core.flowreduce import FlowOmniReduce
 from ..core.pending import PendingCollective
 from ..netsim.cluster import Cluster
+from ..netsim.flow import is_flow_view
 
 __all__ = ["SwitchMLAllReduce"]
 
@@ -31,11 +32,9 @@ class SwitchMLAllReduce:
 
     def __init__(self, cluster: Cluster, config: Optional[OmniReduceConfig] = None):
         base = config or OmniReduceConfig()
-        # A FlowCluster view selects the flow-mode engine (same protocol,
+        # A flow-mode view selects the flow-mode engine (same protocol,
         # analytical timeline) -- dense streams get the speedup too.
-        engine_cls = (
-            FlowOmniReduce if hasattr(cluster, "flow_base") else OmniReduce
-        )
+        engine_cls = FlowOmniReduce if is_flow_view(cluster) else OmniReduce
         self._omni = engine_cls(
             cluster,
             base.with_(

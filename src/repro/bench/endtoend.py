@@ -135,9 +135,8 @@ def fig10_training_speedup() -> ExperimentResult:
 
 def fig13_multigpu_micro() -> ExperimentResult:
     """Figure 13: multi-GPU microbenchmark (6 servers x 8 GPUs, 100G)."""
-    from ..core import OmniReduce, OmniReduceConfig
+    from ..baselines import prepare
     from ..core.hierarchical import HierarchicalAllReduce
-    from ..baselines.ring import RingAllReduce
     from ..netsim import Cluster
     from ..tensors import block_sparse_tensors
     from .harness import tensor_elements
@@ -163,13 +162,10 @@ def fig13_multigpu_micro() -> ExperimentResult:
                 workers=servers, aggregators=6, bandwidth_gbps=100,
                 transport="rdma", gdr=(algorithm == "omnireduce"),
             )
-            cluster = Cluster(spec)
-            inner = (
-                OmniReduce(cluster)
-                if algorithm == "omnireduce"
-                else RingAllReduce(cluster)
+            session = prepare(algorithm, Cluster(spec))
+            hier = HierarchicalAllReduce(
+                session.cluster, gpus_per_server=gpus, inner=session.engine
             )
-            hier = HierarchicalAllReduce(cluster, gpus_per_server=gpus, inner=inner)
             return hier.allreduce(per_gpu).time_s
 
         nccl = float(np.mean([run("ring", i) for i in range(samples)]))

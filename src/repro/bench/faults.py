@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.collective import OmniReduce
+from ..baselines import OmniReduceOptions, prepare
 from ..core.config import OmniReduceConfig
 from ..faults import AggregatorCrash, FaultPlan, StragglerSchedule
 from ..netsim.cluster import Cluster, ClusterSpec
@@ -70,7 +70,9 @@ def fault_recovery() -> ExperimentResult:
             tensors = _tensors(workers, elements, seed=i)
             expected = np.sum(tensors, axis=0)
             cluster = Cluster(_spec(workers), faults=plan)
-            res = OmniReduce(cluster, cfg).allreduce(tensors)
+            res = prepare(
+                "omnireduce", cluster, OmniReduceOptions(config=cfg)
+            ).allreduce(tensors)
             times.append(res.time_s)
             retx.append(res.retransmissions)
             timeouts.append(res.timeouts_fired)

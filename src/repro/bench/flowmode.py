@@ -30,11 +30,10 @@ from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from ..core.collective import CollectiveResult, OmniReduce
+from ..baselines import OmniReduceOptions, prepare
+from ..core.collective import CollectiveResult
 from ..core.config import OmniReduceConfig
-from ..core.flowreduce import FlowOmniReduce
 from ..netsim import Cluster, ClusterSpec
-from ..netsim.flow import flow_view
 from .harness import ExperimentResult
 
 __all__ = [
@@ -165,14 +164,12 @@ def _config() -> OmniReduceConfig:
 
 
 def _run(spec: ClusterSpec, tensors, flow: bool):
-    cluster = Cluster(spec)
-    if flow:
-        engine = FlowOmniReduce(flow_view(cluster), _config())
-    else:
-        engine = OmniReduce(cluster, _config())
+    options = OmniReduceOptions(
+        config=_config(), sim_mode="flow" if flow else "packet"
+    )
     # The engines do not mutate their inputs, so the same tensor list
     # is reused across rows without copying into the timed region.
-    return engine.allreduce(tensors)
+    return prepare("omnireduce", Cluster(spec), options).allreduce(tensors)
 
 
 def fig06_flow() -> ExperimentResult:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines import get as get_collective
-from ..baselines.ring import RingAllReduce
-from ..core import OmniReduce, OmniReduceConfig, ProtocolFeatures
+from ..core import OmniReduceConfig, ProtocolFeatures
 from ..inetwork import InNetworkOmniReduce
 from ..model import PerfModel
 from ..netsim import Cluster, ClusterSpec
@@ -79,27 +78,26 @@ def _mean_time(fn, samples):
     return float(np.mean([fn(i) for i in range(samples)]))
 
 
-def _omni_time(spec, elements, sparsity, config=None, seed=0, overlap="random"):
-    samples = sample_count()
+def _time(name, spec, elements, sparsity, seed=0, overlap="random",
+          block_size=DEFAULT_BLOCK_SIZE, **opts):
+    """Mean AllReduce time of registry algorithm ``name`` on ``spec``.
 
-    def one(i):
-        tensors = _tensors(spec.workers, elements, sparsity, seed=seed + i, overlap=overlap)
-        return OmniReduce(Cluster(spec), config).allreduce(tensors).time_s
-
-    return _mean_time(one, samples)
-
-
-def _baseline_time(name, spec, elements, sparsity, seed=0, **opts):
-    samples = sample_count()
-
+    ``opts`` are the algorithm's option fields.  Sample ``i`` reduces
+    the tensors drawn with seed ``seed + i`` on a fresh cluster whose
+    loss process is seeded ``spec.seed + i``.
+    """
     collective = get_collective(name)
     options = collective.options_cls.from_kwargs(**opts)
 
     def one(i):
-        tensors = _tensors(spec.workers, elements, sparsity, seed=seed + i)
-        return collective.prepare(Cluster(spec), options).allreduce(tensors).time_s
+        tensors = _tensors(
+            spec.workers, elements, sparsity, seed=seed + i, overlap=overlap,
+            block_size=block_size,
+        )
+        cluster = Cluster(spec.with_(seed=spec.seed + i))
+        return collective.prepare(cluster, options).allreduce(tensors).time_s
 
-    return _mean_time(one, samples)
+    return _mean_time(one, sample_count())
 
 
 def fig04_dense_allreduce() -> ExperimentResult:
@@ -124,13 +122,13 @@ def fig04_dense_allreduce() -> ExperimentResult:
         for workers in (2, 4, 8):
             spec = _spec(transport, bw, workers, gdr=gdr)
             nccl_spec = _spec(nccl_transport, bw, workers)
-            nccl = _baseline_time("ring", nccl_spec, elements, 0.0)
+            nccl = _time("ring", nccl_spec, elements, 0.0)
             optimal = PerfModel(workers, bw).ring(elements * 4)
             row = dict(stack=label, workers=workers, nccl=nccl * 1e3,
                        ring_optimal=optimal * 1e3)
             for sparsity, key in ((0.0, "omni_s0"), (0.6, "omni_s60"),
                                   (0.9, "omni_s90"), (0.99, "omni_s99")):
-                row[key] = _omni_time(spec, elements, sparsity) * 1e3
+                row[key] = _time("omnireduce", spec, elements, sparsity) * 1e3
             result.add_row(**row)
     result.notes.append(
         "paper: up to 6.3x (10G) / 5.5x (100G) over NCCL at 99% sparsity; "
@@ -155,12 +153,14 @@ def fig05_rdma_methods() -> ExperimentResult:
     for sparsity in SPARSITY_GRID:
         result.add_row(
             sparsity=int(sparsity * 100),
-            omni_gdr=_omni_time(gdr, elements, sparsity) * 1e3,
-            omni_gdr_colocated=_omni_time(gdr_colo, elements, sparsity) * 1e3,
-            omni_rdma=_omni_time(rdma, elements, sparsity) * 1e3,
-            nccl_rdma=_baseline_time("ring", rdma, elements, sparsity) * 1e3,
-            byteps=_baseline_time("ps", rdma, elements, sparsity) * 1e3,
-            switchml=_baseline_time("switchml", rdma, elements, sparsity) * 1e3,
+            omni_gdr=_time("omnireduce", gdr, elements, sparsity) * 1e3,
+            omni_gdr_colocated=(
+                _time("omnireduce", gdr_colo, elements, sparsity) * 1e3
+            ),
+            omni_rdma=_time("omnireduce", rdma, elements, sparsity) * 1e3,
+            nccl_rdma=_time("ring", rdma, elements, sparsity) * 1e3,
+            byteps=_time("ps", rdma, elements, sparsity) * 1e3,
+            switchml=_time("switchml", rdma, elements, sparsity) * 1e3,
         )
     result.notes.append(
         "paper: BytePS ~ NCCL; SwitchML* best dense streaming; "
@@ -176,17 +176,17 @@ def _fig06_point(task):
     rdma = _spec("rdma", 10.0, workers)
     rdma_colo = _spec("rdma", 10.0, workers, colocated=True)
     dpdk = _spec("dpdk", 10.0, workers)
-    base = _baseline_time("ring", tcp, elements, sparsity)
+    base = _time("ring", tcp, elements, sparsity)
     return dict(
         sparsity=int(sparsity * 100),
-        omni_rdma=base / _omni_time(rdma, elements, sparsity),
-        omni_rdma_colocated=base / _omni_time(rdma_colo, elements, sparsity),
-        omni_dpdk=base / _omni_time(dpdk, elements, sparsity),
-        sparcml_ssar=base / _baseline_time("sparcml-ssar", tcp, elements, sparsity),
-        sparcml_dsar=base / _baseline_time("sparcml-dsar", tcp, elements, sparsity),
-        agsparse_nccl=base / _baseline_time("agsparse", tcp, elements, sparsity),
-        agsparse_gloo=base / _baseline_time("agsparse-gloo", tcp, elements, sparsity),
-        parallax=base / _baseline_time("parallax", tcp, elements, sparsity),
+        omni_rdma=base / _time("omnireduce", rdma, elements, sparsity),
+        omni_rdma_colocated=base / _time("omnireduce", rdma_colo, elements, sparsity),
+        omni_dpdk=base / _time("omnireduce", dpdk, elements, sparsity),
+        sparcml_ssar=base / _time("sparcml-ssar", tcp, elements, sparsity),
+        sparcml_dsar=base / _time("sparcml-dsar", tcp, elements, sparsity),
+        agsparse_nccl=base / _time("agsparse", tcp, elements, sparsity),
+        agsparse_gloo=base / _time("agsparse-gloo", tcp, elements, sparsity),
+        parallax=base / _time("parallax", tcp, elements, sparsity),
     )
 
 
@@ -219,20 +219,20 @@ def _fig07_point(task):
     sparsity, workers, elements = task
     tcp = _spec("tcp", 10.0, workers)
     dpdk = _spec("dpdk", 10.0, workers)
-    base = _baseline_time("ring", tcp, elements, sparsity)
+    base = _time("ring", tcp, elements, sparsity)
     return dict(
         sparsity=int(sparsity * 100),
         workers=workers,
-        omnireduce=base / _omni_time(dpdk, elements, sparsity),
-        parallax=base / _baseline_time("parallax", tcp, elements, sparsity),
+        omnireduce=base / _time("omnireduce", dpdk, elements, sparsity),
+        parallax=base / _time("parallax", tcp, elements, sparsity),
         sparcml_ssar=base
-        / _baseline_time("sparcml-ssar", tcp, elements, sparsity),
+        / _time("sparcml-ssar", tcp, elements, sparsity),
         sparcml_dsar=base
-        / _baseline_time("sparcml-dsar", tcp, elements, sparsity),
+        / _time("sparcml-dsar", tcp, elements, sparsity),
         agsparse_nccl=base
-        / _baseline_time("agsparse", tcp, elements, sparsity),
+        / _time("agsparse", tcp, elements, sparsity),
         agsparse_gloo=base
-        / _baseline_time("agsparse-gloo", tcp, elements, sparsity),
+        / _time("agsparse-gloo", tcp, elements, sparsity),
     )
 
 
@@ -278,7 +278,7 @@ def fig08_format_conversion() -> ExperimentResult:
     )
 
     def add(method, name, conv, **opts):
-        comm = _baseline_time(name, tcp, elements, sparsity, **opts) * 1e3
+        comm = _time(name, tcp, elements, sparsity, **opts) * 1e3
         d2s = to_sparse_ms if conv else 0.0
         s2d = to_dense_ms if conv else 0.0
         result.add_row(
@@ -290,7 +290,7 @@ def fig08_format_conversion() -> ExperimentResult:
     add("Parallax", "parallax", conv=False)  # conversion inside the PS path
     add("AGsparse(NCCL)", "agsparse", conv=True, include_conversion=False)
     add("SSAR_Split_allgather", "sparcml-ssar", conv=True, include_conversion=False)
-    omni = _omni_time(dpdk, elements, sparsity) * 1e3
+    omni = _time("omnireduce", dpdk, elements, sparsity) * 1e3
     result.add_row(
         method="OmniReduce", dense_to_sparse=0.0, allreduce=omni,
         sparse_to_dense=0.0, total=omni,
@@ -321,15 +321,10 @@ def fig15_block_size() -> ExperimentResult:
                     block_size=block_size,
                     features=ProtocolFeatures(fusion=fusion),
                 )
-                samples = sample_count()
-
-                def one(i, sparsity=sparsity, config=config):
-                    tensors = _tensors(
-                        workers, elements, sparsity, seed=i, block_size=block_size
-                    )
-                    return OmniReduce(Cluster(spec), config).allreduce(tensors).time_s
-
-                row[key] = _mean_time(one, samples) * 1e3
+                row[key] = _time(
+                    "omnireduce", spec, elements, sparsity,
+                    block_size=block_size, config=config,
+                ) * 1e3
             result.add_row(**row)
     result.notes.append(
         "paper: without fusion small blocks are very sensitive to block "
@@ -356,7 +351,7 @@ def fig17_overlap() -> ExperimentResult:
                     row[overlap] = float("nan")
                     continue
                 row[overlap] = (
-                    _omni_time(spec, elements, sparsity, overlap=overlap) * 1e3
+                    _time("omnireduce", spec, elements, sparsity, overlap=overlap) * 1e3
                 )
             result.add_row(**row)
     result.notes.append(
@@ -388,10 +383,10 @@ def fig18_p4_aggregator() -> ExperimentResult:
         return inr.allreduce(tensors).time_s
 
     for sparsity in SPARSITY_GRID:
-        base = _baseline_time("ring", tcp, elements, sparsity)
+        base = _time("ring", tcp, elements, sparsity)
         p4_34 = _mean_time(lambda i: p4_time(34, sparsity, i), samples)
         p4_256 = _mean_time(lambda i: p4_time(256, sparsity, i), samples)
-        server_t = _omni_time(server, elements, sparsity)
+        server_t = _time("omnireduce", server, elements, sparsity)
         result.add_row(
             sparsity=int(sparsity * 100),
             p4_bs34=base / p4_34,
@@ -415,41 +410,22 @@ def fig21_loss_recovery() -> ExperimentResult:
         "AllReduce time increase vs lossless baseline (ms)",
         ["loss_rate", "omni_s0", "omni_s90", "omni_s99", "gloo", "nccl_tcp"],
     )
-    samples = sample_count()
 
-    def omni_delta(sparsity, rate):
-        def run(i, loss_rate):
-            spec = _spec("dpdk", 10.0, workers, loss_rate=loss_rate, seed=i)
-            tensors = _tensors(workers, elements, sparsity, seed=i)
-            cfg = OmniReduceConfig(timeout_s=300e-6)
-            return OmniReduce(Cluster(spec), cfg).allreduce(tensors).time_s
-
-        clean = _mean_time(lambda i: run(i, 0.0), samples)
-        lossy = _mean_time(lambda i: run(i, rate), samples)
+    def delta(name, transport, sparsity, rate, **opts):
+        spec = _spec(transport, 10.0, workers)
+        clean = _time(name, spec, elements, sparsity, **opts)
+        lossy = _time(name, spec.with_(loss_rate=rate), elements, sparsity, **opts)
         return (lossy - clean) * 1e3
 
-    def ring_delta(rate, segment_elements):
-        def run(i, loss_rate):
-            spec = _spec("tcp", 10.0, workers, loss_rate=loss_rate, seed=i)
-            tensors = _tensors(workers, elements, 0.0, seed=i)
-            return (
-                RingAllReduce(Cluster(spec), segment_elements=segment_elements)
-                .allreduce(tensors)
-                .time_s
-            )
-
-        clean = _mean_time(lambda i: run(i, 0.0), samples)
-        lossy = _mean_time(lambda i: run(i, rate), samples)
-        return (lossy - clean) * 1e3
-
+    timers = OmniReduceConfig(timeout_s=300e-6)
     for rate in (1e-4, 1e-3, 1e-2):
         result.add_row(
             loss_rate=f"{rate:.2%}",
-            omni_s0=omni_delta(0.0, rate),
-            omni_s90=omni_delta(0.9, rate),
-            omni_s99=omni_delta(0.99, rate),
-            gloo=ring_delta(rate, segment_elements=2048),
-            nccl_tcp=ring_delta(rate, segment_elements=8192),
+            omni_s0=delta("omnireduce", "dpdk", 0.0, rate, config=timers),
+            omni_s90=delta("omnireduce", "dpdk", 0.9, rate, config=timers),
+            omni_s99=delta("omnireduce", "dpdk", 0.99, rate, config=timers),
+            gloo=delta("ring", "tcp", 0.0, rate, segment_elements=2048),
+            nccl_tcp=delta("ring", "tcp", 0.0, rate, segment_elements=8192),
         )
     result.notes.append(
         "paper: OmniReduce's selective retransmission degrades gracefully "
@@ -472,9 +448,9 @@ def model_validation() -> ExperimentResult:
             spec_omni = _spec("rdma", 10.0, workers, gdr=True)
             model = PerfModel(workers, 10.0)
             sparsity = 1.0 - density
-            ring_sim = _baseline_time("ring", spec_ring, elements, sparsity)
-            omni_sim = _omni_time(
-                spec_omni, elements, sparsity, overlap="all",
+            ring_sim = _time("ring", spec_ring, elements, sparsity)
+            omni_sim = _time(
+                "omnireduce", spec_omni, elements, sparsity, overlap="all",
                 config=OmniReduceConfig(charge_bitmap=False),
             )
             result.add_row(
@@ -502,7 +478,7 @@ def ablation_streams() -> ExperimentResult:
     spec = _spec("dpdk", 10.0, workers)
     for streams in (1, 2, 4, 8, 16, 32, 64):
         config = OmniReduceConfig(streams_per_shard=streams)
-        time_s = _omni_time(spec, elements, 0.9, config=config)
+        time_s = _time("omnireduce", spec, elements, 0.9, config=config)
         result.add_row(streams_per_shard=streams, time_ms=time_s * 1e3)
     result.notes.append(
         "shallow pipelines leave the network idle between rounds; depth "

@@ -237,12 +237,10 @@ class ConformanceCase:
             dtype=np.dtype(self.dtype),
         )
 
-    def options(self) -> Optional[Options]:
+    def options(self) -> Options:
         if not self.algorithm.startswith("omnireduce"):
-            if self.sim_mode == "packet":
-                return None  # registry defaults
             return registry.get(self.algorithm).options_cls.from_kwargs(
-                sim_mode=self.sim_mode
+                sim_mode=self.sim_mode, features=self.features
             )
         config = OmniReduceConfig(block_size=self.block_size)
         if self.features is not None:

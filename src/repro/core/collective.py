@@ -29,6 +29,7 @@ from ..tensors.bitmap import V100_BITMAP_MODEL, BitmapCostModel
 from ..tensors.blocks import BlockView, num_blocks
 from .aggregator import RecoverySlotAggregator, SlotAggregator
 from .config import MAX_STREAMS, OmniReduceConfig
+from .features import ProtocolFeatures
 from .messages import VALUE_BYTES
 from .partition import FusionLayout, fusion_width, plan_streams
 from .pending import PendingCollective, PendingResult
@@ -103,6 +104,11 @@ class OmniReduce:
         self.cluster = cluster
         self.config = config or OmniReduceConfig()
         self.bitmap_model = bitmap_model
+
+    @property
+    def features(self) -> ProtocolFeatures:
+        """The protocol feature set this engine runs (``config.features``)."""
+        return self.config.features
 
     # -- public API --------------------------------------------------------
 
@@ -367,7 +373,7 @@ class OmniReduce:
             self.telemetry_label,
             self.cluster,
             begin,
-            self.config.features,
+            self.features,
         ).wait()
 
     def _begin_impl(

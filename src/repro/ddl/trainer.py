@@ -25,16 +25,13 @@ Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..baselines.registry import get as get_collective
 from ..compression.base import Compressor
 from ..core.hierarchical import HierarchicalAllReduce
-from ..core.config import OmniReduceConfig
-from ..core.collective import OmniReduce
-from ..baselines.ring import RingAllReduce
 from ..netsim.cluster import Cluster, ClusterSpec
 from .gradients import GradientModel
 from .workloads import WorkloadSpec
@@ -109,30 +106,18 @@ class TrainingSimulator:
         collective (compression compute overheads are excluded, matching
         the paper's §6.2.2 methodology).
         """
+        collective = get_collective(algorithm)
+        options = collective.options_cls.from_kwargs(**algorithm_options)
+        gradients = GradientModel(self.workload)
 
-        def run_at(elements: int) -> float:
-            times = []
-            for sample in range(self.samples):
-                rng = np.random.default_rng(self.seed + 1000 * sample)
-                tensors = GradientModel(self.workload).generate(
-                    spec.workers, elements, rng
-                )
-                if compressor is not None:
-                    tensors = [compressor.compress(t) for t in tensors]
-                cluster = Cluster(spec)
-                collective = get_collective(algorithm)
-                result = collective.prepare(
-                    cluster, collective.options_cls.from_kwargs(**algorithm_options)
-                ).allreduce(tensors)
-                times.append(result.time_s)
-            return float(np.mean(times))
+        def time_at(elements: int, rng: np.random.Generator) -> float:
+            tensors = gradients.generate(spec.workers, elements, rng)
+            if compressor is not None:
+                tensors = [compressor.compress(t) for t in tensors]
+            session = collective.prepare(Cluster(spec), options)
+            return session.allreduce(tensors).time_s
 
-        n1 = self.scale_elements
-        n2 = self.scale_elements // 2
-        t1 = run_at(n1)
-        t2 = run_at(n2)
-        slope = max(0.0, (t1 - t2) / (n1 - n2))
-        comm_full = t1 + slope * (self.workload.total_elements - n1)
+        t1, slope, comm_full = self._extrapolate(time_at)
         return TrainingReport(
             workload=self.workload.name,
             algorithm=algorithm,
@@ -153,45 +138,31 @@ class TrainingSimulator:
         spec: ClusterSpec,
         gpus_per_server: int = 8,
         algorithm: str = "omnireduce",
-        config: Optional[OmniReduceConfig] = None,
+        **algorithm_options,
     ) -> TrainingReport:
         """Multi-GPU servers (§6.3): hierarchical two-layer aggregation.
 
         Per-GPU gradients are generated independently (each GPU sees its
         own mini-batch shard), summed intra-server over NVLink, and the
-        server sums cross the network.
+        server sums cross the network through any registry
+        ``algorithm``, configured by ``algorithm_options``.
         """
-        def run_at(elements: int) -> float:
-            times = []
-            for sample in range(self.samples):
-                rng = np.random.default_rng(self.seed + 1000 * sample)
-                model = GradientModel(self.workload)
-                per_gpu = [
-                    model.generate(gpus_per_server, elements, rng)
-                    for _ in range(spec.workers)
-                ]
-                cluster = Cluster(spec)
-                if algorithm == "omnireduce":
-                    inner = OmniReduce(cluster, config)
-                elif algorithm == "ring":
-                    inner = RingAllReduce(cluster)
-                else:
-                    raise ValueError(
-                        "multi-GPU measurement supports 'omnireduce' and 'ring', "
-                        f"got {algorithm!r}"
-                    )
-                hier = HierarchicalAllReduce(
-                    cluster, gpus_per_server=gpus_per_server, inner=inner
-                )
-                times.append(hier.allreduce(per_gpu).time_s)
-            return float(np.mean(times))
+        collective = get_collective(algorithm)
+        options = collective.options_cls.from_kwargs(**algorithm_options)
+        gradients = GradientModel(self.workload)
 
-        n1 = self.scale_elements
-        n2 = self.scale_elements // 2
-        t1 = run_at(n1)
-        t2 = run_at(n2)
-        slope = max(0.0, (t1 - t2) / (n1 - n2))
-        comm_full = t1 + slope * (self.workload.total_elements - n1)
+        def time_at(elements: int, rng: np.random.Generator) -> float:
+            per_gpu = [
+                gradients.generate(gpus_per_server, elements, rng)
+                for _ in range(spec.workers)
+            ]
+            session = collective.prepare(Cluster(spec), options)
+            hier = HierarchicalAllReduce(
+                session.cluster, gpus_per_server=gpus_per_server, inner=session.engine
+            )
+            return hier.allreduce(per_gpu).time_s
+
+        t1, _, comm_full = self._extrapolate(time_at)
         return TrainingReport(
             workload=self.workload.name,
             algorithm=f"{algorithm}-hierarchical",
@@ -206,3 +177,26 @@ class TrainingSimulator:
                 "gpus_per_server": float(gpus_per_server),
             },
         )
+
+    def _extrapolate(
+        self, time_at: Callable[[int, np.random.Generator], float]
+    ) -> Tuple[float, float, float]:
+        """The module docstring's two-point fit of ``time_at``.
+
+        Each scale averages ``time_at(elements, rng)`` over the samples
+        (sample ``k`` draws from seed ``seed + 1000 k``).  Returns
+        ``(t(n1), slope, comm_full)``.
+        """
+
+        def mean_at(elements: int) -> float:
+            return float(np.mean([
+                time_at(elements, np.random.default_rng(self.seed + 1000 * sample))
+                for sample in range(self.samples)
+            ]))
+
+        n1 = self.scale_elements
+        n2 = self.scale_elements // 2
+        t1 = mean_at(n1)
+        t2 = mean_at(n2)
+        slope = max(0.0, (t1 - t2) / (n1 - n2))
+        return t1, slope, t1 + slope * (self.workload.total_elements - n1)

@@ -64,6 +64,7 @@ __all__ = [
     "FlowTransport",
     "FlowCluster",
     "flow_view",
+    "is_flow_view",
     "require_flow_capable",
     "HostLedger",
     "cpu_chain",
@@ -229,13 +230,15 @@ class HostLedger:
         return out, order
 
     def commit(self, flow_bytes: Dict[str, int]) -> None:
-        """Write the booked stage times, per-host counters and per-flow
-        wire bytes back to the hosts and ``network.stats``."""
+        """Write the booked stage times, egress busy time, per-host
+        counters and per-flow wire bytes back to the hosts and
+        ``network.stats``."""
         for i, host in enumerate(self.hosts):
             host.tx_cpu_free_at = float(self.tx_free[i])
             host.egress_free_at = float(self.eg_free[i])
             host.ingress_free_at = float(self.in_free[i])
             host.rx_cpu_free_at = float(self.rx_free[i])
+            host.egress_busy_s += float(self.sent_bytes[i] * 8.0 / self.bw[i])
         stats = self.network.stats
         for i, name in enumerate(self.names):
             stats.bytes_sent[name] += int(self.sent_bytes[i])
@@ -409,3 +412,10 @@ def flow_view(cluster):
     if isinstance(cluster, FlowCluster):
         return cluster
     return FlowCluster(cluster)
+
+
+def is_flow_view(cluster) -> bool:
+    """Whether ``cluster`` runs in flow mode: a :class:`FlowCluster`, or
+    a view proxying one.  Engines with a flow-mode twin pick it on this
+    rule."""
+    return hasattr(cluster, "flow_base")

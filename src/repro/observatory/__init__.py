@@ -23,7 +23,7 @@ Usage::
 
     obs = Observatory(ObservatoryConfig(interval_s=50e-6))
     obs.attach(cluster)                      # watch a collective run
-    OmniReduce(cluster, config).allreduce(tensors)
+    prepare("omnireduce", cluster).allreduce(tensors)
     obs.finalize()
     for incident in obs.incidents:
         print(incident)

@@ -30,9 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.collective import OmniReduce
+from ..baselines import OmniReduceOptions, RackHierarchicalOptions, prepare
 from ..core.config import OmniReduceConfig
-from ..core.rackreduce import RackHierarchicalOmniReduce
 from ..faults import AggregatorCrash, FaultPlan, LinkDegradation, StragglerSchedule
 from ..netsim.cluster import Cluster, ClusterSpec
 from ..netsim.loss import GilbertElliottLoss
@@ -301,9 +300,12 @@ def _run_collective(
     cluster = Cluster(spec, faults=scenario.plan)
     obs = _observatory(interval_s)
     obs.attach(cluster)
-    OmniReduce(
-        cluster, OmniReduceConfig(timeout_s=scenario.timeout_s)
-    ).allreduce(_tensors(scenario.workers, elements, scenario.seed))
+    options = OmniReduceOptions(
+        config=OmniReduceConfig(timeout_s=scenario.timeout_s)
+    )
+    prepare("omnireduce", cluster, options).allreduce(
+        _tensors(scenario.workers, elements, scenario.seed)
+    )
     obs.finalize()
     return obs
 
@@ -326,7 +328,8 @@ def _run_rackhier(
     cluster = Cluster(spec, topology=topology, faults=scenario.plan)
     obs = _observatory(interval_s)
     obs.attach(cluster)
-    RackHierarchicalOmniReduce(cluster, rack_size=rack_size).allreduce(
+    options = RackHierarchicalOptions(rack_size=rack_size)
+    prepare("rackhier", cluster, options).allreduce(
         _tensors(WORKERS, elements, scenario.seed)
     )
     obs.finalize()

@@ -56,3 +56,15 @@ def test_trace_and_metrics_flags_write_valid_exports(tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert "telemetry summary" in out
     assert "figure-6" in out or "figure6" in out
+
+
+def test_figure21_records_every_algorithm(monkeypatch):
+    """Experiments run through the registry, so a process-global
+    telemetry records the ring baselines next to OmniReduce."""
+    from repro.bench.micro import fig21_loss_recovery
+    from repro.telemetry import Telemetry
+
+    monkeypatch.setenv("REPRO_TENSOR_MB", "0.02")
+    with runtime.use(Telemetry()) as telemetry:
+        fig21_loss_recovery()
+    assert {"omnireduce", "ring"} <= set(telemetry.metrics.algorithms())

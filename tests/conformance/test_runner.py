@@ -11,6 +11,7 @@ from repro.conformance import (
     run_case,
     sweep,
 )
+from repro.core.features import ProtocolFeatures
 
 
 def test_case_validation():
@@ -34,6 +35,20 @@ def test_case_id_round_trip_fields():
 def test_case_id_names_non_default_aggregators():
     assert "/a2/" in ConformanceCase(workers=4, aggregators=2).case_id
     assert ConformanceCase(workers=4).case_id.startswith("omnireduce/w4/n")
+
+
+def test_case_features_reach_every_algorithm():
+    """A case's ``features`` run for every algorithm its id names, not
+    only OmniReduce: rackhier without zero-block suppression streams
+    every block."""
+    features = ProtocolFeatures(zero_block_suppression=False)
+    base = ConformanceCase(algorithm="rackhier", workers=4, aggregators=2)
+    case = base.with_(features=features)
+    assert "no-zero_block_suppression" in case.case_id
+    assert case.options().features == features
+    default, ablated = run_case(base), run_case(case)
+    assert default.ok and ablated.ok
+    assert ablated.result.bytes_sent > default.result.bytes_sent
 
 
 @pytest.mark.parametrize("level", ["smoke", "full"])

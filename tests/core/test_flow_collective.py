@@ -200,3 +200,45 @@ def test_switchml_flow_matches_packet():
     packet, flow = results
     _assert_equivalent(packet, flow)
     assert flow.details["algorithm"] == "switchml*"
+
+
+def _fat_tree():
+    from repro.netsim import FatTreeTopology, rack_map_for
+
+    return FatTreeTopology(
+        rack_size=2, uplink_gbps=20.0, spine_gbps=20.0, spines=1,
+        rack_of=rack_map_for(4, 4, 2),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, spec, topology, options",
+    [
+        ("omnireduce", dict(aggregators=2), None, {}),
+        ("omnireduce", dict(colocated=True), None, {}),
+        ("omnireduce", dict(gdr=True), None, {}),
+        ("rackhier", {}, _fat_tree, {"rack_size": 2}),
+    ],
+    ids=["flat", "colocated", "gdr", "rackhier-fat-tree"],
+)
+def test_flow_mode_books_egress_busy_time(name, spec, topology, options):
+    """The observatory's duty cycle reads ``Host.egress_busy_s``: the
+    flow engines' reserve-at-begin booking must charge each host the
+    same serialization time the packet kernel does."""
+    from repro.baselines import ALGORITHMS, prepare
+
+    tensors = _tensors(elements=8192, pattern="uniform")
+    busy = {}
+    for mode in ("packet", "flow"):
+        cluster = Cluster(
+            ClusterSpec(workers=4, **{"aggregators": 4, **spec}),
+            topology=topology() if topology else None,
+        )
+        opts = ALGORITHMS[name].options_cls(sim_mode=mode, **options)
+        prepare(name, cluster, opts).allreduce(tensors)
+        busy[mode] = {
+            h: cluster.network.host(h).egress_busy_s for h in cluster.network.hosts
+        }
+    assert any(busy["packet"].values())
+    for host, seconds in busy["packet"].items():
+        assert busy["flow"][host] == pytest.approx(seconds, rel=1e-12)

@@ -92,8 +92,19 @@ def test_multi_gpu_speedup_smaller_than_single_gpu():
 
 
 def test_multi_gpu_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        sim("bert").measure_multi_gpu(SPEC_10G, algorithm="agsparse")
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        sim("bert").measure_multi_gpu(SPEC_10G, algorithm="no-such-algorithm")
+
+
+def test_multi_gpu_takes_any_registry_algorithm():
+    """The inner collective comes from the registry, options and all."""
+    simulator = sim("deeplight")
+    spec = SPEC_10G.with_(workers=3, aggregators=3)
+    report = simulator.measure_multi_gpu(
+        spec, gpus_per_server=2, algorithm="sparcml", mode="ssar"
+    )
+    assert report.algorithm == "sparcml-hierarchical"
+    assert report.comm_time_s > 0
 
 
 def test_validation():
