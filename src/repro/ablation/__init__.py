@@ -2,15 +2,17 @@
 
 ``repro.ablation`` sits on top of the
 :class:`~repro.core.features.ProtocolFeatures` layer: it runs a
-baseline collective plus one run per disabled catalog feature for every
-(Table-1 workload x fault plan) cell, reads time/goodput/wire-counter
-deltas from each run's telemetry metrics registry, checks every run
-against the dense float64 oracle, and ranks the features by what they
-earn.  Exposed as ``python -m repro.bench --experiment ablation``.
+baseline plus one run per disabled catalog feature for every (Table-1
+workload x fault plan) cell, reads time/goodput/wire-counter deltas
+from each run's telemetry metrics registry, and ranks the features by
+what they earn.  A cell is a
+:class:`~repro.conformance.runner.ConformanceCase` and every run goes
+through :func:`~repro.conformance.runner.run_case`, so each faces the
+dense float64 oracle, the counter checks and the invariant monitors.
+Exposed as ``python -m repro.bench --experiment ablation``.
 """
 
 from .harness import (
-    AblationCell,
     AblationReport,
     AblationRun,
     CellReport,
@@ -22,7 +24,6 @@ from .harness import (
 )
 
 __all__ = [
-    "AblationCell",
     "AblationReport",
     "AblationRun",
     "CellReport",

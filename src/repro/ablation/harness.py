@@ -1,30 +1,30 @@
 """The automated protocol-feature ablation harness.
 
-Built on the :class:`~repro.core.features.ProtocolFeatures` layer: for
-every (workload x fault-plan) cell the harness runs one *baseline*
-collective with the cell's full feature set, then one run per catalog
-feature with exactly that feature disabled, and reports what each
-mechanism earns -- completion-time, goodput and wire-counter deltas read
-from each run's own telemetry metrics registry (the single numeric
-source of truth; see :mod:`repro.telemetry.metrics`).
+Built on the :class:`~repro.core.features.ProtocolFeatures` layer: an
+ablation cell is a :class:`~repro.conformance.runner.ConformanceCase`
+whose ``pattern`` names a Table-1 workload.  Per cell the harness runs
+the *baseline* -- the case with ``features=None``, i.e. the case's own
+resolved feature set -- then one run per catalog feature with exactly
+that feature disabled, and reports what each mechanism earns:
+completion-time, goodput and wire-counter deltas read from each run's
+own telemetry metrics registry (the single numeric source of truth; see
+:mod:`repro.telemetry.metrics`).
 
-Every run is additionally checked against the dense float64 oracle
-(:mod:`repro.conformance.oracle`): protocol features are
-performance-only, so a disabled feature that changes the reduced tensor
-is a bug the harness must flag, not a data point.  The ``collective``
-hook on :func:`run_ablation` exists so the test suite can inject a
-corrupting mutant and prove the flagging works.
+Every run goes through :func:`~repro.conformance.runner.run_case`, so it
+faces the dense float64 oracle, the counter checks and the invariant
+monitors: protocol features are performance-only, so a disabled feature
+that changes the reduced tensor or breaks a protocol invariant is a bug
+the harness must flag, not a data point.  The test suite proves the
+flagging works with the case's ``mutant`` field.
 
-Workload cells reproduce Table 1's block-density structure: the
-per-worker block sparsity is ``1 - comm_fraction`` (Table 1's last
-column is the per-worker transmitted-block fraction at 256-element
-blocks), generated by the bench layer's seeded
-:func:`~repro.bench.harness.cached_tensors`.
+A workload pattern places blocks uniformly at the workload's per-worker
+block sparsity, ``1 - comm_fraction`` (Table 1's last column is the
+per-worker transmitted-block fraction at 256-element blocks).
 
-``retransmit_backoff`` is only active when the cell's baseline enables
-it (lossy fault cells, mirroring the conformance runner's fault
-configuration); elsewhere its row reports a skip reason instead of a
-fake zero delta.  Every run uses the packet engine.
+``retransmit_backoff`` is only active when the cell's resolved baseline
+enables it (every fault plan's conformance configuration); elsewhere its
+row reports a skip reason instead of a fake zero delta.  Every run uses
+the packet engine.
 
 Run ids are stable and deterministic:
 ``{workload}-{fault}-baseline`` / ``{workload}-{fault}-no-{feature}``,
@@ -35,29 +35,19 @@ across revisions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..baselines import registry
-from ..baselines.api import Collective, OmniReduceOptions
-from ..conformance.oracle import check_outputs, dense_oracle
 from ..conformance.runner import (
-    FAULT_BACKOFF_FACTOR,
-    FAULT_PLANS,
-    FAULT_TIMEOUT_MAX_S,
-    FAULT_TIMEOUT_S,
     _LOSSY_FAULTS,
+    CaseReport,
+    ConformanceCase,
+    run_case,
 )
-from ..core.config import OmniReduceConfig
-from ..core.features import DEFAULT_FEATURES, FEATURES, ProtocolFeatures
-from ..ddl.workloads import WORKLOADS
-from ..netsim.cluster import Cluster, ClusterSpec
-from ..telemetry import Telemetry
+from ..core.features import FEATURES
+from ..telemetry import Telemetry, runtime
 
 __all__ = [
-    "AblationCell",
     "AblationRun",
     "FeatureDelta",
     "CellReport",
@@ -94,105 +84,23 @@ def ablation_elements(default: int = 1 << 21) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class AblationCell:
-    """One (workload x fault-plan) cell of the ablation matrix."""
-
-    workload: str
-    fault: str = "none"
-    workers: int = 8
-    aggregators: Optional[int] = None  # None -> one shard per worker
-    elements: int = 1 << 21
-    block_size: int = 256
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.workload not in WORKLOADS:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; "
-                f"choose from {sorted(WORKLOADS)}"
-            )
-        if self.fault not in FAULT_PLANS:
-            raise ValueError(
-                f"unknown fault plan {self.fault!r}; "
-                f"choose from {sorted(FAULT_PLANS)}"
-            )
-        if self.elements < self.block_size:
-            raise ValueError("elements must cover at least one block")
-
-    @property
-    def cell_id(self) -> str:
-        return f"{self.workload}-{self.fault}"
-
-    @property
-    def transport(self) -> str:
-        """Datagram transport for lossy cells (loss + Algorithm 2 need
-        per-packet delivery), RDMA otherwise."""
-        return "dpdk" if self.fault in _LOSSY_FAULTS else "rdma"
-
-    @property
-    def block_sparsity(self) -> float:
-        """Per-worker zero-block fraction: 1 - Table 1's comm fraction."""
-        return 1.0 - WORKLOADS[self.workload].comm_fraction
-
-    def baseline_features(self) -> ProtocolFeatures:
-        """The cell's everything-on feature set.
-
-        Lossy cells enable retransmit backoff (the conformance fault
-        configuration) so the ``retransmit_backoff`` row ablates a
-        mechanism that is actually on.
-        """
-        if self.fault in _LOSSY_FAULTS:
-            return DEFAULT_FEATURES.with_(backoff_factor=FAULT_BACKOFF_FACTOR)
-        return DEFAULT_FEATURES
-
-    def config(self, features: ProtocolFeatures) -> OmniReduceConfig:
-        config = OmniReduceConfig(block_size=self.block_size, features=features)
-        if self.fault != "none":
-            config = config.with_(
-                timeout_s=FAULT_TIMEOUT_S, timeout_max_s=FAULT_TIMEOUT_MAX_S
-            )
-        return config
-
-    def cluster(self) -> Cluster:
-        spec = ClusterSpec(
-            workers=self.workers,
-            aggregators=(
-                self.aggregators if self.aggregators is not None else self.workers
-            ),
-            transport=self.transport,
-            seed=self.seed,
-        )
-        return Cluster(spec, faults=FAULT_PLANS[self.fault](self.seed))
-
-    def tensors(self) -> List[np.ndarray]:
-        # Local import: repro.bench's package __init__ imports the
-        # ablation *experiment*, which imports this module.
-        from ..bench.harness import cached_tensors
-
-        return cached_tensors(
-            self.workers,
-            self.elements,
-            self.block_sparsity,
-            seed=self.seed,
-            block_size=self.block_size,
-        )
+def _cell_id(case: ConformanceCase) -> str:
+    return f"{case.pattern}-{case.fault}"
 
 
 @dataclass
 class AblationRun:
-    """One collective run with one feature set, metrics attached."""
+    """One conformance run with one feature set, metrics attached."""
 
     run_id: str
     feature: str  # "" for the baseline run
-    features: ProtocolFeatures
-    metrics: Dict[str, Optional[float]] = field(default_factory=dict)
-    oracle_problems: List[str] = field(default_factory=list)
-    max_abs_err: float = 0.0
+    report: CaseReport
+    metrics: Dict[str, Optional[float]]
 
     @property
     def correct(self) -> bool:
-        return not self.oracle_problems
+        """Oracle, counter checks and every invariant monitor passed."""
+        return self.report.ok
 
 
 @dataclass
@@ -249,9 +157,13 @@ def _delta(feature: str, run: AblationRun, baseline: AblationRun) -> FeatureDelt
 class CellReport:
     """One cell's baseline plus one delta row per catalog feature."""
 
-    cell: AblationCell
+    case: ConformanceCase  # the cell's baseline case (features=None)
     baseline: AblationRun
     deltas: List[FeatureDelta]
+
+    @property
+    def cell_id(self) -> str:
+        return _cell_id(self.case)
 
     @property
     def runs(self) -> List[AblationRun]:
@@ -313,15 +225,30 @@ def default_cells(
     faults: Sequence[str] = ("none", "bernoulli-loss"),
     elements: Optional[int] = None,
     **overrides,
-) -> List[AblationCell]:
-    """The standard matrix: Table-1 workloads crossed with fault plans."""
+) -> List[ConformanceCase]:
+    """The standard matrix: Table-1 workloads crossed with fault plans.
+
+    Each cell is an 8-worker OmniReduce case at 256-element blocks on
+    the datagram transport for lossy plans (loss and Algorithm 2 need
+    per-packet delivery) and RDMA otherwise; ``overrides`` replace any
+    of these case fields.
+    """
     if elements is None:
         elements = ablation_elements()
-    return [
-        AblationCell(workload=w, fault=f, elements=elements, **overrides)
-        for w in workloads
-        for f in faults
-    ]
+    cells = []
+    for workload in workloads:
+        for fault in faults:
+            case_fields = dict(
+                workers=8,
+                elements=elements,
+                block_size=256,
+                pattern=workload,
+                fault=fault,
+                transport="dpdk" if fault in _LOSSY_FAULTS else "rdma",
+            )
+            case_fields.update(overrides)
+            cells.append(ConformanceCase(**case_fields))
+    return cells
 
 
 def _read_metrics(telemetry: Telemetry, algorithm: str) -> Dict[str, Optional[float]]:
@@ -340,43 +267,29 @@ def _read_metrics(telemetry: Telemetry, algorithm: str) -> Dict[str, Optional[fl
     return out
 
 
-def _run_single(
-    cell: AblationCell,
-    features: ProtocolFeatures,
-    run_id: str,
-    feature: str,
-    collective: Collective,
-) -> AblationRun:
-    tensors = cell.tensors()
+def _run(case: ConformanceCase, run_id: str, feature: str) -> AblationRun:
+    # The Cluster run_case builds attaches the active telemetry, so each
+    # run reads its metrics from a registry of its own.
     telemetry = Telemetry()
-    options = OmniReduceOptions(config=cell.config(features), telemetry=telemetry)
-    with collective.prepare(cell.cluster(), options) as session:
-        result = session.allreduce(tensors)
-    run = AblationRun(
+    with runtime.use(telemetry):
+        report = run_case(case)
+    return AblationRun(
         run_id=run_id,
         feature=feature,
-        features=features,
-        metrics=_read_metrics(telemetry, session.algorithm),
+        report=report,
+        metrics=_read_metrics(telemetry, case.algorithm),
     )
-    run.oracle_problems = check_outputs(result, tensors)
-    expected = dense_oracle(tensors)
-    got = np.asarray(result.outputs[0], dtype=np.float64).reshape(-1)
-    if got.shape == expected.shape and got.size:
-        run.max_abs_err = float(np.abs(got - expected).max())
-    return run
 
 
-def run_cell(cell: AblationCell, collective: Optional[Collective] = None) -> CellReport:
+def run_cell(case: ConformanceCase) -> CellReport:
     """Baseline + one run per catalog feature for one matrix cell."""
-    if collective is None:
-        collective = registry.get("omnireduce")
-    baseline_features = cell.baseline_features()
-    baseline = _run_single(
-        cell, baseline_features, f"{cell.cell_id}-baseline", "", collective
-    )
+    baseline_case = case.with_(features=None)
+    cell_id = _cell_id(case)
+    baseline = _run(baseline_case, f"{cell_id}-baseline", "")
+    features = baseline_case.config().features
     deltas: List[FeatureDelta] = []
     for name in FEATURES:
-        if not baseline_features.enabled(name):
+        if not features.enabled(name):
             deltas.append(
                 FeatureDelta(
                     feature=name,
@@ -386,29 +299,17 @@ def run_cell(cell: AblationCell, collective: Optional[Collective] = None) -> Cel
                 )
             )
             continue
-        run = _run_single(
-            cell,
-            baseline_features.disable(name),
-            f"{cell.cell_id}-no-{name}",
+        run = _run(
+            case.with_(features=features.disable(name)),
+            f"{cell_id}-no-{name}",
             name,
-            collective,
         )
         deltas.append(_delta(name, run, baseline))
-    return CellReport(cell=cell, baseline=baseline, deltas=deltas)
+    return CellReport(case=baseline_case, baseline=baseline, deltas=deltas)
 
 
-def run_ablation(
-    cells: Optional[Sequence[AblationCell]] = None,
-    collective: Optional[Collective] = None,
-) -> AblationReport:
-    """Run the ablation matrix.
-
-    ``collective`` defaults to the registry's OmniReduce and exists as
-    an injection point: the test suite wraps it with a corrupting mutant
-    to prove a feature whose disablement changes results is flagged
-    (every run's ``oracle_problems``/``correct``), not reported as a
-    performance number.
-    """
+def run_ablation(cells: Optional[Sequence[ConformanceCase]] = None) -> AblationReport:
+    """Run the ablation matrix (:func:`default_cells` by default)."""
     if cells is None:
         cells = default_cells()
-    return AblationReport(cells=[run_cell(cell, collective) for cell in cells])
+    return AblationReport(cells=[run_cell(case) for case in cells])

@@ -119,8 +119,9 @@ class Options:
         * ``from_kwargs(field=value, ...)`` -- typed construction, with
           unknown fields failing loudly.
 
-        Subclasses may extend it with further spellings -- see
-        :meth:`OmniReduceOptions.from_kwargs`.
+        Classes that carry an :class:`OmniReduceConfig` (``config``:
+        OmniReduce and SwitchML*) also take raw config fields
+        (``block_size=64``, ...) as an alternative to ``config=``.
         """
         if options is not None:
             if kwargs:
@@ -132,6 +133,16 @@ class Options:
             raise TypeError(
                 f"expected {cls.__name__} options, got {type(options).__name__}"
             )
+        names = {f.name for f in dataclasses.fields(cls)}
+        raw = {k: v for k, v in kwargs.items() if k not in names}
+        if raw and "config" in names:
+            if kwargs.get("config") is not None:
+                raise TypeError(
+                    f"pass either config= or raw config fields, not both "
+                    f"(extra: {sorted(raw)})"
+                )
+            kwargs = {k: v for k, v in kwargs.items() if k in names}
+            kwargs["config"] = OmniReduceConfig(**raw)
         return cls(**kwargs)
 
 
@@ -140,37 +151,6 @@ class OmniReduceOptions(Options):
     """Options for the OmniReduce collective: its full config object."""
 
     config: Optional[OmniReduceConfig] = None
-
-    @classmethod
-    def from_kwargs(cls, options=None, /, **kwargs) -> "OmniReduceOptions":
-        """:meth:`Options.from_kwargs` plus raw config fields
-        (``block_size=64``, ...) as an alternative to ``config=``."""
-        if options is not None:
-            return super().from_kwargs(options, **kwargs)
-        telemetry = kwargs.pop("telemetry", None)
-        sim_mode = kwargs.pop("sim_mode", "packet")
-        features = kwargs.pop("features", None)
-        config = kwargs.pop("config", None)
-        if config is not None:
-            if kwargs:
-                raise TypeError(
-                    f"pass either config= or raw config fields, not both "
-                    f"(extra: {sorted(kwargs)})"
-                )
-            return cls(
-                telemetry=telemetry,
-                sim_mode=sim_mode,
-                features=features,
-                config=config,
-            )
-        if kwargs:
-            return cls(
-                telemetry=telemetry,
-                sim_mode=sim_mode,
-                features=features,
-                config=OmniReduceConfig(**kwargs),
-            )
-        return cls(telemetry=telemetry, sim_mode=sim_mode, features=features)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ row reports the disabled run's completion time, goodput and wire
 counters as fractional deltas against the cell's baseline (positive
 ``dtime%`` = disabling the feature slowed the collective down, i.e. the
 mechanism earns that much), all read from per-run telemetry metrics
-registries.  Every run is checked against the dense float64 oracle --
-the ``correct`` column must read ``yes`` everywhere, because protocol
+registries.  Every run is a conformance case checked against the dense
+float64 oracle, the counter checks and the invariant monitors -- the
+``correct`` column must read ``yes`` everywhere, because protocol
 features are performance-only by contract.
 
 The notes carry the cross-cell importance ranking (mean fractional
@@ -81,14 +82,14 @@ def ablation() -> ExperimentResult:
         for delta in cell_report.deltas:
             if not delta.measured:
                 result.add_row(
-                    run_id=f"{cell_report.cell.cell_id}-no-{delta.feature}",
+                    run_id=f"{cell_report.cell_id}-no-{delta.feature}",
                     feature=delta.feature,
                     time_ms="-", dtime="skip", goodput_gbps="-",
                     dgoodput="-", dbytes="-", dpackets="-", retrans="-",
                     correct="-",
                 )
                 result.notes.append(
-                    f"skipped {cell_report.cell.cell_id}-no-{delta.feature}: "
+                    f"skipped {cell_report.cell_id}-no-{delta.feature}: "
                     f"{delta.skipped}"
                 )
                 continue
@@ -118,14 +119,14 @@ def ablation() -> ExperimentResult:
     result.notes.insert(
         1,
         "all runs checked against the dense float64 oracle; "
-        + ("all correct" if report.ok else "ORACLE FAILURES PRESENT"),
+        + ("all correct" if report.ok else "CHECK FAILURES PRESENT"),
     )
     for cell_report in report.cells:
         for run in cell_report.runs:
             if not run.correct:
                 result.notes.append(
-                    f"ORACLE FAIL {run.run_id}: "
-                    + "; ".join(run.oracle_problems[:3])
+                    f"CHECK FAIL {run.run_id}: "
+                    + "; ".join(run.report.problems()[:3])
                 )
     result.notes.append(
         f"feature catalog: {', '.join(FEATURES)}; "

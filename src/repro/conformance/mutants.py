@@ -13,6 +13,10 @@ the harness detects them and shrinks the failure to a seed-replay:
   catches it.  This is the invariant the paper's bandwidth savings
   rest on.
 
+* ``fusion-off-corrupts`` -- corrupts one output element, but only in
+  runs with ``fusion`` disabled: a mechanism whose removal is *not*
+  performance-only, the bug class the ablation harness exists to flag.
+
 Two mutants break *flow mode only* -- packet mode stays exact, so
 single-mode conformance cannot see them; only the packet-vs-flow
 differential (:mod:`repro.conformance.differential`) catches each:
@@ -46,6 +50,7 @@ from ..netsim.packet import Packet
 
 __all__ = [
     "BrokenResultCollective",
+    "FusionOffCorruptsCollective",
     "ZeroBlockSpamCollective",
     "FlowSerializationSkewCollective",
     "FlowZeroBillCollective",
@@ -103,6 +108,29 @@ class BrokenResultCollective(Collective):
 
     def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
         return _CorruptingSession(self.inner.prepare(cluster, options))
+
+
+class _FusionOffSession(_CorruptingSession):
+    """Corrupts the result only when the session runs without fusion."""
+
+    def _alter(self, result: CollectiveResult) -> CollectiveResult:
+        features = self._inner.features
+        if features is not None and not features.enabled("fusion"):
+            return super()._alter(result)
+        return result
+
+
+class FusionOffCorruptsCollective(BrokenResultCollective):
+    """Wraps any feature-consulting collective; disabling ``fusion``
+    silently corrupts one output element."""
+
+    def __init__(self, inner: Collective) -> None:
+        super().__init__(inner)
+        self.name = f"{inner.name}+fusion-off-corrupts"
+        self.summary = "test-only mutant: corrupts results when fusion is off"
+
+    def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
+        return _FusionOffSession(self.inner.prepare(cluster, options))
 
 
 class ZeroBlockSpamCollective(Collective):
@@ -279,6 +307,7 @@ class TopologySkewCollective(Collective):
 #: mutant name -> wrapper class applied to the case's base collective.
 MUTANTS: Dict[str, Type[Collective]] = {
     "broken-result": BrokenResultCollective,
+    "fusion-off-corrupts": FusionOffCorruptsCollective,
     "zero-block-spam": ZeroBlockSpamCollective,
     "flow-serialization-skew": FlowSerializationSkewCollective,
     "flow-zero-bill": FlowZeroBillCollective,

@@ -12,6 +12,13 @@ Four patterns cover the protocol's qualitatively different regimes:
 * ``dense`` -- no zero block at all (the SwitchML* regime; streaming
   aggregation with nothing to skip).
 
+A Table-1 workload name (:data:`repro.ddl.workloads.WORKLOADS`) is a
+pattern too: ``uniform`` placement at the workload's per-worker block
+sparsity, ``1 - comm_fraction`` (Table 1's last column is the
+transmitted-block fraction at 256-element blocks).  The ablation
+harness runs these; the conformance matrices iterate
+:data:`SPARSITY_PATTERNS` only.
+
 All generators are deterministic in ``seed``: the same (pattern,
 workers, elements, block_size, dtype, seed) tuple reproduces the same
 tensors bit for bit, which is what makes seed-replay work.
@@ -19,22 +26,26 @@ tensors bit for bit, which is what makes seed-replay work.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List
 
 import numpy as np
 
+from ..ddl.workloads import WORKLOADS
 from ..tensors import block_sparse_tensors
 from ..tensors.blocks import num_blocks
 
-__all__ = ["SPARSITY_PATTERNS", "make_tensors"]
+__all__ = ["SPARSITY_PATTERNS", "make_tensors", "pattern_generator"]
 
 #: Block sparsity used by the ``uniform`` and ``clustered`` patterns.
 DEFAULT_SPARSITY = 0.8
 
 
-def _uniform(workers, elements, block_size, rng, dtype) -> List[np.ndarray]:
+def _uniform(
+    workers, elements, block_size, rng, dtype, sparsity=DEFAULT_SPARSITY
+) -> List[np.ndarray]:
     tensors = block_sparse_tensors(
-        workers, elements, block_size, DEFAULT_SPARSITY,
+        workers, elements, block_size, sparsity,
         overlap="random", rng=rng, dtype=np.float32,
     )
     return [t.astype(dtype) for t in tensors]
@@ -78,6 +89,19 @@ SPARSITY_PATTERNS: Dict[str, Callable] = {
 }
 
 
+def pattern_generator(pattern: str) -> Callable:
+    """The generator behind ``pattern``: a :data:`SPARSITY_PATTERNS`
+    entry, or ``uniform`` at a Table-1 workload's block sparsity."""
+    if pattern in SPARSITY_PATTERNS:
+        return SPARSITY_PATTERNS[pattern]
+    if pattern in WORKLOADS:
+        return partial(_uniform, sparsity=1.0 - WORKLOADS[pattern].comm_fraction)
+    raise ValueError(
+        f"unknown pattern {pattern!r}; choose from {sorted(SPARSITY_PATTERNS)} "
+        f"or a Table-1 workload {sorted(WORKLOADS)}"
+    )
+
+
 def make_tensors(
     pattern: str,
     workers: int,
@@ -87,9 +111,5 @@ def make_tensors(
     dtype=np.float32,
 ) -> List[np.ndarray]:
     """Deterministically generate one conformance case's input tensors."""
-    if pattern not in SPARSITY_PATTERNS:
-        raise ValueError(
-            f"unknown pattern {pattern!r}; choose from {sorted(SPARSITY_PATTERNS)}"
-        )
-    rng = np.random.default_rng(seed)
-    return SPARSITY_PATTERNS[pattern](workers, elements, block_size, rng, dtype)
+    generate = pattern_generator(pattern)
+    return generate(workers, elements, block_size, np.random.default_rng(seed), dtype)

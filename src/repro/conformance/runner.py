@@ -23,13 +23,13 @@ the shared axes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..baselines import registry
-from ..baselines.api import OmniReduceOptions, Options
+from ..baselines.api import Options
 from ..core.collective import CollectiveResult
 from ..core.config import OmniReduceConfig
 from ..core.features import ProtocolFeatures
@@ -39,7 +39,7 @@ from ..netsim.loss import BernoulliLoss, GilbertElliottLoss
 from ..netsim.topology import FatTreeTopology, LeafSpineTopology, rack_map_for
 from .monitors import InvariantMonitor, Violation, default_monitors
 from .oracle import check_counters, check_outputs, dense_oracle
-from .patterns import SPARSITY_PATTERNS, make_tensors
+from .patterns import SPARSITY_PATTERNS, make_tensors, pattern_generator
 
 __all__ = [
     "ConformanceCase",
@@ -146,14 +146,13 @@ class ConformanceCase:
     #: Test-only mutant wrapped around the algorithm ("" = none); see
     #: :mod:`repro.conformance.mutants`.
     mutant: str = ""
-    #: Protocol feature set for OmniReduce cases (``None`` = defaults);
-    #: the ablation harness and the feature-conformance tests run
-    #: single-feature-off cases against the same dense oracle.
+    #: Protocol feature set (``None`` = the fault plan's defaults; set,
+    #: it wins over them -- see :meth:`config`).  The ablation harness
+    #: and the feature-conformance tests run single-feature-off cases.
     features: Optional["ProtocolFeatures"] = None
 
     def __post_init__(self) -> None:
-        if self.pattern not in SPARSITY_PATTERNS:
-            raise ValueError(f"unknown pattern {self.pattern!r}")
+        pattern_generator(self.pattern)  # raises on an unknown pattern
         if self.fault not in FAULT_PLANS:
             raise ValueError(
                 f"unknown fault plan {self.fault!r}; "
@@ -237,14 +236,19 @@ class ConformanceCase:
             dtype=np.dtype(self.dtype),
         )
 
-    def options(self) -> Options:
-        if not self.algorithm.startswith("omnireduce"):
-            return registry.get(self.algorithm).options_cls.from_kwargs(
-                sim_mode=self.sim_mode, features=self.features
-            )
+    def config(self) -> OmniReduceConfig:
+        """The OmniReduce config this case runs, resolved in one place.
+
+        The fault plan's defaults come first: fast retransmission timers
+        with backoff on, and, on a reliable transport, a straggler run
+        pins Algorithm 2 recovery off (stragglers delay but never lose
+        packets, and flow mode refuses the per-packet timers, so this
+        keeps the protocol identical across the packet-vs-flow
+        differential).  The case's explicit ``features`` come last and
+        win.  :meth:`options`, :meth:`monitors` and the ablation harness
+        all read this one value.
+        """
         config = OmniReduceConfig(block_size=self.block_size)
-        if self.features is not None:
-            config = config.with_(features=self.features)
         if self.fault != "none":
             config = config.with_(
                 timeout_s=FAULT_TIMEOUT_S,
@@ -254,13 +258,24 @@ class ConformanceCase:
                 ),
             )
             if self.fault == "straggler" and self.transport != "dpdk":
-                # Stragglers delay but never lose packets; on a reliable
-                # transport the run needs no Algorithm 2 timers.  Pinning
-                # recovery off keeps the protocol identical across the
-                # packet-vs-flow differential (the timers are per-packet
-                # and flow mode refuses them).
                 config = config.with_(recovery=False)
-        return OmniReduceOptions(config=config, sim_mode=self.sim_mode)
+        if self.features is not None:
+            config = config.with_(features=self.features)
+        return config
+
+    def options(self) -> Options:
+        options_cls = registry.get(self.algorithm).options_cls
+        if self.algorithm.startswith("omnireduce"):
+            return options_cls.from_kwargs(
+                config=self.config(), sim_mode=self.sim_mode
+            )
+        kwargs = dict(sim_mode=self.sim_mode, features=self.features)
+        # rackhier takes block_size as a field, SwitchML* through its
+        # config; block-free algorithms (ring, AGsparse, SparCML, PS,
+        # Parallax, halving-doubling) use it only to shape the tensors.
+        if {"block_size", "config"} & {f.name for f in fields(options_cls)}:
+            kwargs["block_size"] = self.block_size
+        return options_cls.from_kwargs(**kwargs)
 
     def monitors(self) -> List[InvariantMonitor]:
         if self.sim_mode == "flow":
@@ -269,23 +284,25 @@ class ConformanceCase:
             # invariants are enforced on the packet side of the
             # differential instead (see repro.conformance.differential).
             return []
+        config = self.config()
         backoff = None
         if (
             self.algorithm.startswith("omnireduce")
             and self.fault in _LOSSY_FAULTS
             and self.transport == "dpdk"
         ):
-            backoff = (FAULT_TIMEOUT_S, FAULT_BACKOFF_FACTOR, FAULT_TIMEOUT_MAX_S)
+            backoff = (
+                config.timeout_s,
+                config.features.backoff_factor,
+                config.timeout_max_s,
+            )
         # zero_block_suppression is the *promise* the case makes
         # (OmniReduce conformance promises it unless the case explicitly
         # ablates the feature); a mutant that secretly breaks the promise
         # must still face the monitor.
-        suppresses = (
-            self.features is None or self.features.zero_block_suppression
-        )
         return default_monitors(
             algorithm=self.algorithm,
-            zero_block_suppression=suppresses,
+            zero_block_suppression=config.features.zero_block_suppression,
             backoff=backoff,
         )
 

@@ -60,6 +60,8 @@ class TestOmniReduceSpellings:
     def test_raw_config_fields(self):
         opts = OmniReduceOptions.from_kwargs(block_size=64)
         assert opts.config.block_size == 64
+        # SwitchML* carries the same engine config, so the same spelling.
+        assert SwitchMLOptions.from_kwargs(block_size=64).config.block_size == 64
 
     def test_config_keyword(self):
         config = OmniReduceConfig(block_size=32)

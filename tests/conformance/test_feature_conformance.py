@@ -8,23 +8,17 @@ across a small algorithm x worker-count matrix, in both simulation
 modes, plus the lossy-fault axis for the recovery-path features.
 
 The final tests prove the ablation harness *flags* a feature whose
-disablement corrupts results: a test-only mutant collective corrupts
-outputs exactly when a target feature is off, and the harness must
+disablement corrupts results: the ``fusion-off-corrupts`` mutant
+corrupts outputs exactly when fusion is off, and the harness must
 report the run incorrect instead of folding it into the deltas.
 """
 
-from typing import Optional, Sequence
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ablation import AblationCell, run_cell
-from repro.baselines import registry
-from repro.baselines.api import Collective, Session
+from repro.ablation import default_cells, run_cell
 from repro.conformance import ConformanceCase, run_case
-from repro.core.collective import CollectiveResult
 from repro.core.features import DEFAULT_FEATURES, FEATURES, ProtocolFeatures
 
 pytestmark = [pytest.mark.conformance, pytest.mark.ablation]
@@ -103,65 +97,30 @@ def test_all_features_off_together_matches_oracle():
 # ---------------------------------------------------------------------------
 
 
-class _FeatureCorruptingSession(Session):
-    """Delegates to the real session; corrupts when ``target`` is off."""
-
-    def __init__(self, inner: Session, target: str) -> None:
-        super().__init__(
-            inner.cluster, inner.options, inner.algorithm, inner.features
-        )
-        self._inner = inner
-        self._target = target
-
-    def allreduce(
-        self, tensors: Sequence[np.ndarray], **kwargs
-    ) -> CollectiveResult:
-        result = self._inner.allreduce(tensors, **kwargs)
-        if self.features is not None and not self.features.enabled(self._target):
-            result.outputs[0] = result.outputs[0].copy()
-            result.outputs[0][0] += 1.0
-        return result
-
-
-class FeatureCorruptingCollective(Collective):
-    """Test-only mutant: disabling ``target`` silently corrupts output.
-
-    Models the bug class the ablation harness exists to catch -- a
-    mechanism whose removal is *not* performance-only.
-    """
-
-    def __init__(self, target: str) -> None:
-        self._inner = registry.get("omnireduce")
-        self.name = self._inner.name
-        self.options_cls = self._inner.options_cls
-        self._target = target
-
-    def prepare(self, cluster, options: Optional[object] = None) -> Session:
-        return _FeatureCorruptingSession(
-            self._inner.prepare(cluster, options), self._target
-        )
-
-
-def _tiny_cell(**changes) -> AblationCell:
-    defaults = dict(
-        workload="deeplight", elements=1 << 14, workers=4, aggregators=4
+def _tiny_cell(**changes) -> ConformanceCase:
+    (case,) = default_cells(
+        workloads=("deeplight",),
+        faults=("none",),
+        elements=1 << 14,
+        workers=4,
+        aggregators=4,
+        **changes,
     )
-    defaults.update(changes)
-    return AblationCell(**defaults)
+    return case
 
 
 def test_harness_flags_corrupting_feature_disablement():
-    report = run_cell(_tiny_cell(), FeatureCorruptingCollective("fusion"))
+    report = run_cell(_tiny_cell(mutant="fusion-off-corrupts"))
     assert not report.ok
     assert report.baseline.correct  # full feature set untouched
     flagged = {d.feature: d for d in report.deltas if d.run is not None}
     assert not flagged["fusion"].run.correct
-    assert flagged["fusion"].run.oracle_problems
-    assert flagged["fusion"].run.max_abs_err >= 1.0
+    assert flagged["fusion"].run.report.oracle_problems
+    assert flagged["fusion"].run.report.max_abs_err >= 1.0
     # Every *other* ablation run stays oracle-exact.
     for feature, delta in flagged.items():
         if feature != "fusion":
-            assert delta.run.correct, delta.run.oracle_problems
+            assert delta.run.correct, delta.run.report.summary()
 
 
 def test_harness_clean_on_honest_collective():

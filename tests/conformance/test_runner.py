@@ -11,7 +11,8 @@ from repro.conformance import (
     run_case,
     sweep,
 )
-from repro.core.features import ProtocolFeatures
+from repro.conformance.monitors import RetransmitBackoffMonitor
+from repro.core.features import DEFAULT_FEATURES, ProtocolFeatures
 
 
 def test_case_validation():
@@ -49,6 +50,56 @@ def test_case_features_reach_every_algorithm():
     default, ablated = run_case(base), run_case(case)
     assert default.ok and ablated.ok
     assert ablated.result.bytes_sent > default.result.bytes_sent
+
+
+def test_explicit_features_beat_the_fault_defaults():
+    """A lossy case that ablates backoff runs, and is monitored, with
+    backoff off: its explicit features win over the fault plan's
+    backoff default."""
+    case = ConformanceCase(
+        transport="dpdk",
+        fault="bernoulli-loss",
+        elements=8192,
+        features=DEFAULT_FEATURES.with_(backoff_factor=2.0).disable(
+            "retransmit_backoff"
+        ),
+    )
+    assert "no-retransmit_backoff" in case.case_id
+    assert case.config().features.backoff_factor == 1.0
+    assert case.options().config.features.backoff_factor == 1.0
+    (monitor,) = [
+        m for m in case.monitors() if isinstance(m, RetransmitBackoffMonitor)
+    ]
+    assert monitor.backoff_factor == 1.0
+    report = run_case(case)
+    assert report.ok, report.summary()
+    assert report.result.retransmissions > 0
+
+
+@pytest.mark.parametrize("algorithm", ["omnireduce", "rackhier", "switchml"])
+def test_case_block_size_reaches_the_engine(algorithm):
+    """The block size a case id names is the one its algorithm runs.
+    Dense tensors do not depend on the block size, so any change in
+    wire bytes comes from the protocol's block size alone."""
+    small, large = (
+        ConformanceCase(
+            algorithm=algorithm, pattern="dense", elements=4096, block_size=bs
+        )
+        for bs in (64, 256)
+    )
+    for a, b in zip(small.tensors(), large.tensors()):
+        np.testing.assert_array_equal(a, b)
+    reports = [run_case(small), run_case(large)]
+    for report in reports:
+        assert report.ok, report.summary()
+    assert reports[0].result.bytes_sent != reports[1].result.bytes_sent
+
+
+def test_block_free_algorithms_take_no_block_size():
+    """Block-free algorithms use the block size only to shape tensors."""
+    assert ConformanceCase(algorithm="ring", block_size=256).options() == (
+        ConformanceCase(algorithm="ring", block_size=64).options()
+    )
 
 
 @pytest.mark.parametrize("level", ["smoke", "full"])
