@@ -21,7 +21,7 @@ from .api import (
 )
 from .collectives import ring_allgather, tree_broadcast
 from .halving_doubling import HalvingDoublingAllReduce
-from .parallax import ParallaxAllReduce, ParallaxRuntime
+from .parallax import ParallaxAllReduce
 from .ps import ParameterServerAllReduce
 from .registry import ALGORITHMS, get, prepare
 from .ring import RingAllReduce
@@ -47,7 +47,6 @@ __all__ = [
     "SparCML",
     "ParameterServerAllReduce",
     "ParallaxAllReduce",
-    "ParallaxRuntime",
     "SwitchMLAllReduce",
     "ALGORITHMS",
     "ring_allgather",

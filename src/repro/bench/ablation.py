@@ -118,8 +118,9 @@ def ablation() -> ExperimentResult:
     )
     result.notes.insert(
         1,
-        "all runs checked against the dense float64 oracle; "
-        + ("all correct" if report.ok else "CHECK FAILURES PRESENT"),
+        "all runs checked against the dense float64 oracle, the counter "
+        "checks and the invariant monitors; "
+        + ("all passed" if report.ok else "CHECK FAILURES PRESENT"),
     )
     for cell_report in report.cells:
         for run in cell_report.runs:

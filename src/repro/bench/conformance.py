@@ -12,12 +12,12 @@ identical cases under both simulation modes must agree bit-exactly on
 tensors, exactly on wire counters, and within the documented tolerance
 on completion time (see ``docs/performance.md``).
 
-The final rows run the test-only mutants (a corrupted result, a
-zero-block spammer, and two flow-only timing/billing bugs) to prove the
-harness has teeth: each must be *caught* -- the single-mode mutants are
-shrunk to a minimized seed-replay case whose one-command repro appears
-in the notes, and the flow-only mutants must be flagged by the
-differential.
+The final rows run every test-only mutant of
+:data:`~repro.conformance.mutants.MUTANTS` on its target case to prove
+the harness has teeth: each must be *caught* by exactly the one check it
+declares -- the oracle, a monitor, or the differential's time or counter
+check -- and each single-mode kill is shrunk to a minimized seed-replay
+case whose one-command repro appears in the notes.
 
 ``REPRO_CONFORMANCE_LEVEL=full`` widens the matrix (more worker counts,
 block sizes, seeds); the default ``smoke`` level is CI-sized.
@@ -30,30 +30,18 @@ from collections import defaultdict
 from typing import Dict, List
 
 from ..conformance import (
-    ConformanceCase,
+    MUTANTS,
     default_matrix,
     differential_matrix,
     differential_sweep,
     minimize_case,
     run_case,
+    run_differential,
     sweep,
 )
 from .harness import ExperimentResult
 
 __all__ = ["conformance"]
-
-#: Mutants the experiment must catch, with the axes that expose them.
-_MUTANT_CASES = (
-    ConformanceCase(algorithm="omnireduce", mutant="broken-result"),
-    ConformanceCase(algorithm="omnireduce", mutant="zero-block-spam"),
-)
-
-#: Flow-only mutants: packet mode is untouched, so only the
-#: packet-vs-flow differential can catch them.
-_FLOW_MUTANT_CASES = (
-    ConformanceCase(algorithm="ring", mutant="flow-serialization-skew"),
-    ConformanceCase(algorithm="omnireduce", mutant="flow-zero-bill"),
-)
 
 
 def conformance() -> ExperimentResult:
@@ -125,65 +113,42 @@ def conformance() -> ExperimentResult:
                     + "; ".join(report.problems[:3])
                 )
 
-    # Flow-only mutants: the differential (not single-mode conformance)
-    # must catch each -- proof the packet-vs-flow gauntlet has teeth.
-    from ..conformance import run_differential
-
-    for case in _FLOW_MUTANT_CASES:
-        diff = run_differential(case)
-        caught = not diff.ok
+    # Every mutant must die on its target by the one check it declares,
+    # and nothing else may fire; a single-mode kill also shrinks to a
+    # minimized seed-replay.
+    for name, mutant in MUTANTS.items():
+        differential = mutant.kill.startswith("differential:")
+        report = (run_differential if differential else run_case)(mutant.target)
+        fired = report.checks
+        caught = fired == {mutant.kill}
         if not caught:
             total_failures += 1
         result.add_row(
-            algorithm=f"mutant:{case.mutant}",
+            algorithm=f"mutant:{name}",
             cases=1,
             oracle_ok="caught" if caught else "MISSED",
             counters_ok="-",
-            violations=len(diff.problems),
-            max_abs_err=diff.time_rel_err,
+            violations=len(fired),
+            max_abs_err=report.time_rel_err if differential else report.max_abs_err,
             status="PASS" if caught else "FAIL",
         )
         result.notes.append(
-            f"flow mutant {case.mutant} on {case.algorithm}: "
-            + (
-                f"caught by differential ({diff.problems[0]})"
-                if caught
-                else "NOT caught -- the differential is blind"
-            )
+            f"mutant {name} on {mutant.target.case_id}: declared "
+            f"{mutant.kill}, fired {'+'.join(sorted(fired)) or 'nothing'}"
         )
-
-    # The harness must catch deliberately broken algorithms and shrink
-    # each failure to a replayable minimal case.
-    for case in _MUTANT_CASES:
-        report = run_case(case)
-        caught = not report.ok
-        spec = minimize_case(case) if caught else None
-        result.add_row(
-            algorithm=f"mutant:{case.mutant}",
-            cases=1,
-            oracle_ok="caught" if caught else "MISSED",
-            counters_ok="-",
-            violations=len(report.violations),
-            max_abs_err=report.max_abs_err,
-            status="PASS" if caught else "FAIL",
-        )
-        if spec is not None:
+        if caught and not differential:
+            spec = minimize_case(mutant.target)
             result.notes.append(
-                f"mutant {case.mutant} minimized to "
-                f"{spec.constructor_source()} "
+                f"mutant {name} minimized to {spec.constructor_source()} "
                 f"({spec.shrink_runs} shrink runs); first problem: "
                 f"{spec.problems[0] if spec.problems else '<none>'}"
-            )
-        else:
-            total_failures += 1
-            result.notes.append(
-                f"mutant {case.mutant} was NOT caught -- the harness is blind"
             )
 
     result.notes.insert(
         0,
         "zero violations expected on real algorithms; mutant rows must "
-        "report 'caught' with a minimized seed-replay in the notes",
+        "report 'caught' by their declared check, single-mode ones with "
+        "a minimized seed-replay in the notes",
     )
     result.notes.insert(
         1,

@@ -45,7 +45,7 @@ from .monitors import (
     Violation,
     default_monitors,
 )
-from .mutants import MUTANTS, BrokenResultCollective, ZeroBlockSpamCollective
+from .mutants import MUTANTS
 from .oracle import (
     check_counters,
     check_outputs,
@@ -94,8 +94,6 @@ __all__ = [
     "minimize_case",
     "run_spec",
     "MUTANTS",
-    "BrokenResultCollective",
-    "ZeroBlockSpamCollective",
     "normalize_trace",
     "trace_to_json",
     "capture_omnireduce_trace",

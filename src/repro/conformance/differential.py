@@ -36,7 +36,7 @@ algorithm on the shared axes, plus OmniReduce's flow-supported extras
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -114,10 +114,22 @@ class DifferentialReport:
     #: Set when flow mode (correctly or not) refused the case.
     unsupported: Optional[str] = None
     time_rel_err: float = 0.0
+    #: The packet-vs-flow comparisons that failed: ``differential:``
+    #: ``tensors``, ``counters`` or ``time``.
+    mismatches: Set[str] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
         return not self.problems
+
+    @property
+    def checks(self) -> Set[str]:
+        """Every check that fired: both sides' and the comparisons."""
+        fired = set(self.mismatches)
+        for side in (self.packet, self.flow):
+            if side is not None:
+                fired |= side.checks
+        return fired
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -189,6 +201,7 @@ def run_differential(case: ConformanceCase) -> DifferentialReport:
                 diff = int(
                     (np.asarray(p_out) != np.asarray(f_out)).sum()
                 )
+                report.mismatches.add("differential:tensors")
                 report.problems.append(
                     f"worker {worker} tensor differs in {diff} elements "
                     "(bit-exact equality required)"
@@ -199,6 +212,7 @@ def run_differential(case: ConformanceCase) -> DifferentialReport:
     for name in _EXACT_COUNTERS:
         p_val, f_val = getattr(pres, name), getattr(fres, name)
         if p_val != f_val:
+            report.mismatches.add("differential:counters")
             report.problems.append(
                 f"{name} differs: packet {p_val} vs flow {f_val} "
                 "(exact equality required)"
@@ -209,6 +223,7 @@ def run_differential(case: ConformanceCase) -> DifferentialReport:
     denom = max(abs(pres.time_s), 1e-30)
     report.time_rel_err = abs(fres.time_s - pres.time_s) / denom
     if report.time_rel_err > rtol:
+        report.mismatches.add("differential:time")
         report.problems.append(
             f"time_s differs by {report.time_rel_err:.3e} rel "
             f"(packet {pres.time_s:.9e} vs flow {fres.time_s:.9e}, "

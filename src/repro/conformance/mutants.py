@@ -1,35 +1,18 @@
 """Deliberately broken collectives (test-only mutants).
 
-A conformance harness that has never caught a bug proves nothing.  The
-mutants wrap a real registry collective and break exactly one promise
-each, so tests (and the ``conformance`` bench experiment) can assert
-the harness detects them and shrinks the failure to a seed-replay:
+A conformance harness that has never caught a bug proves nothing.  Each
+mutant wraps a real registry collective and breaks exactly one promise
+with a small delta on the production path -- an options change, a
+cluster or flow-view change, or a result change -- never a copy of it.
+Each entry of :data:`MUTANTS` names the case it targets and the one
+check that must kill it there; ``docs/conformance.md`` ("Mutants")
+states every mutant as WHEN/THEN scenarios, and the kill matrix in
+``tests/conformance/test_mutants.py`` proves each of them.
 
-* ``broken-result`` -- corrupts one element of one worker's output:
-  caught by the dense oracle *and* the worker-agreement check.
-* ``zero-block-spam`` -- silently disables zero-block skipping while
-  still claiming to be OmniReduce: results stay numerically perfect
-  (adding zero is free), so only the :class:`NoZeroBlockMonitor`
-  catches it.  This is the invariant the paper's bandwidth savings
-  rest on.
-
-* ``fusion-off-corrupts`` -- corrupts one output element, but only in
-  runs with ``fusion`` disabled: a mechanism whose removal is *not*
-  performance-only, the bug class the ablation harness exists to flag.
-
-Two mutants break *flow mode only* -- packet mode stays exact, so
-single-mode conformance cannot see them; only the packet-vs-flow
-differential (:mod:`repro.conformance.differential`) catches each:
-
-* ``flow-serialization-skew`` -- the flow transport serializes every
-  wire segment as if it carried one extra block (the classic
-  off-by-one-block in the analytical serialization delay).  Wire
-  *counters* stay exact; completion *times* drift, which the
-  differential's time-tolerance check flags.
-* ``flow-zero-bill`` -- flow mode correctly suppresses zero blocks in
-  the data plane but still bills them on the wire, inflating
-  ``bytes_sent``/``packets_sent``.  Tensors and times stay perfect;
-  the differential's *exact* counter equality catches it.
+Each bug's size is one module constant below; its neutral value (in the
+entry's ``neutral``) switches the bug off.  A mutant raises
+:class:`MutantRefused` on a case its hook cannot reach rather than
+passing silently.
 
 Mutants are never registered in :data:`repro.baselines.registry.ALGORITHMS`;
 they are reachable only through :class:`~repro.conformance.runner.ConformanceCase`'s
@@ -38,278 +21,264 @@ they are reachable only through :class:`~repro.conformance.runner.ConformanceCas
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Type
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from ..baselines.api import Collective, OmniReduceOptions, Options, Session
 from ..core.collective import CollectiveResult
+from ..core.config import OmniReduceConfig
+from ..core.features import ProtocolFeatures
 from ..netsim.cluster import Cluster
-from ..netsim.flow import FlowTransport, flow_view
-from ..netsim.packet import Packet
+from ..netsim.flow import flow_view
+from .runner import ConformanceCase
 
-__all__ = [
-    "BrokenResultCollective",
-    "FusionOffCorruptsCollective",
-    "ZeroBlockSpamCollective",
-    "FlowSerializationSkewCollective",
-    "FlowZeroBillCollective",
-    "MUTANTS",
-]
+__all__ = ["Mutant", "MutantRefused", "MUTANTS"]
 
-
-def _is_flow(options: Optional[Options]) -> bool:
-    return getattr(options, "sim_mode", "packet") == "flow"
-
-
-class _WrappedSession(Session):
-    """Delegates to the real session, passing every AllReduce result
-    through :meth:`_alter`; the blocking calls inherit
-    ``submit(...).wait()``."""
-
-    def __init__(self, inner: Session) -> None:
-        super().__init__(inner.cluster, inner.options)
-        self._inner = inner
-
-    def _alter(self, result: CollectiveResult) -> CollectiveResult:
-        raise NotImplementedError
-
-    def submit(self, tensors: Sequence[np.ndarray], **kwargs):
-        return self._inner.submit(tensors, **kwargs).map(self._alter)
-
-    def submit_allgather(self, tensors: Sequence[np.ndarray]):
-        return self._inner.submit_allgather(tensors)
-
-    def submit_broadcast(self, tensor: np.ndarray, root: int = 0):
-        return self._inner.submit_broadcast(tensor, root=root)
+#: Added to worker 0's first output element (neutral: 0.0).
+CORRUPTION = 1.0
+#: The same, but only in runs with ``fusion`` off (neutral: 0.0).
+FUSION_OFF_CORRUPTION = 1.0
+#: Whether OmniReduce's zero-block suppression is secretly off
+#: (neutral: False).
+SPAM_ZERO_BLOCKS = True
+#: Extra bytes the flow transport serializes per wire segment -- one
+#: default-sized block of float32s (neutral: 0).
+SKEW_BYTES = 256
+#: Wire bytes flow mode bills per suppressed zero block (neutral: 0).
+BILL_BYTES = 256
+#: Capacity factor flow mode applies to every rack uplink (neutral: 1.0).
+UPLINK_SKEW = 0.5
 
 
-class _CorruptingSession(_WrappedSession):
-    """Delegates to the real session, then corrupts the result."""
-
-    @staticmethod
-    def _alter(result: CollectiveResult) -> CollectiveResult:
-        if result.outputs and result.outputs[0].size:
-            # Flip one element on one worker: breaks the oracle check on
-            # worker 0 and the agreement check between workers.
-            result.outputs[0] = result.outputs[0].copy()
-            result.outputs[0][0] += 1.0
-        return result
+class MutantRefused(ValueError):
+    """The mutant's bug cannot take effect on this case."""
 
 
-class BrokenResultCollective(Collective):
-    """Wraps any collective; its sessions corrupt one output element."""
-
-    def __init__(self, inner: Collective) -> None:
-        self.inner = inner
-        self.name = f"{inner.name}+broken-result"
-        self.options_cls: Type[Options] = inner.options_cls
-        self.summary = "test-only mutant: corrupts one output element"
-
-    def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
-        return _CorruptingSession(self.inner.prepare(cluster, options))
+ResultHook = Callable[[Session, Sequence[np.ndarray], CollectiveResult], CollectiveResult]
 
 
-class _FusionOffSession(_CorruptingSession):
-    """Corrupts the result only when the session runs without fusion."""
+@dataclass(frozen=True)
+class Mutant:
+    """One test-only bug, as up to three hooks on a real collective.
 
-    def _alter(self, result: CollectiveResult) -> CollectiveResult:
-        features = self._inner.features
-        if features is not None and not features.enabled("fusion"):
-            return super()._alter(result)
-        return result
+    ``MUTANTS[name](inner)`` wraps ``inner``.  ``options`` maps the
+    run's options, ``cluster`` the cluster it runs on, and ``result``
+    sees ``(session, tensors, result)`` after each AllReduce.  A
+    ``flow_only`` mutant applies its hooks to flow-mode runs alone.
 
-
-class FusionOffCorruptsCollective(BrokenResultCollective):
-    """Wraps any feature-consulting collective; disabling ``fusion``
-    silently corrupts one output element."""
-
-    def __init__(self, inner: Collective) -> None:
-        super().__init__(inner)
-        self.name = f"{inner.name}+fusion-off-corrupts"
-        self.summary = "test-only mutant: corrupts results when fusion is off"
-
-    def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
-        return _FusionOffSession(self.inner.prepare(cluster, options))
-
-
-class ZeroBlockSpamCollective(Collective):
-    """OmniReduce with zero-block skipping secretly disabled.
-
-    Numerically indistinguishable from the real thing -- only the
-    no-zero-block invariant monitor can tell the difference.
+    ``target`` is the case the mutant must die on, by ``kill``:
+    ``"oracle"``, a monitor name, ``"differential:time"`` or
+    ``"differential:counters"``.  ``size`` names the module constant
+    sizing the bug and ``neutral`` the value that switches it off.
     """
 
-    def __init__(self, inner: Collective) -> None:
-        if not inner.name.startswith("omnireduce"):
-            raise ValueError(
-                "zero-block-spam only makes sense wrapping omnireduce, "
-                f"got {inner.name!r}"
-            )
+    target: ConformanceCase
+    kill: str
+    size: str
+    neutral: object
+    summary: str
+    flow_only: bool = False
+    options: Optional[Callable[[Options], Options]] = None
+    cluster: Optional[Callable[[Cluster], Cluster]] = None
+    result: Optional[ResultHook] = None
+
+    def __call__(self, inner: Collective) -> Collective:
+        return _Mutated(inner, self)
+
+
+class _Mutated(Collective):
+    """``inner`` with a mutant's hooks applied to every session."""
+
+    def __init__(self, inner: Collective, mutant: Mutant) -> None:
         self.inner = inner
-        self.name = f"{inner.name}+zero-block-spam"
+        self.mutant = mutant
+        self.name = f"{inner.name}+{mutant.target.mutant}"
         self.options_cls = inner.options_cls
-        self.summary = "test-only mutant: transmits zero blocks"
+        self.summary = f"test-only mutant: {mutant.summary}"
 
     def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
-        from ..core.config import OmniReduceConfig
-
+        mutant = self.mutant
         if options is None:
-            options = OmniReduceOptions()
-        if isinstance(options, OmniReduceOptions):
-            config = options.config or OmniReduceConfig()
-            options = OmniReduceOptions(
-                config=config.with_(
-                    features=config.features.with_(zero_block_suppression=False)
-                )
-            )
-        return self.inner.prepare(cluster, options)
-
-
-class _SkewedFlowTransport(FlowTransport):
-    """FlowTransport with the serialization delay off by one block.
-
-    Reproduces :meth:`FlowTransport._send_wire` with one injected bug:
-    every segment's *serialization time* is computed as if the segment
-    carried ``SKEW_BYTES`` extra bytes.  Billing (``bytes_sent``,
-    ``packets_sent``, flow bytes) stays correct -- only the timeline is
-    wrong, which is exactly the failure mode the differential's
-    completion-time check exists to catch.
-    """
-
-    SKEW_BYTES = 256  # one default-sized block of float32s
-
-    def _send_wire(self, src, dst, dst_port, payload, wire_sizes, flow):
-        network = self.network
-        sim = network.sim
-        src_host = network.hosts[src]
-        dst_host = network.hosts[dst]
-        stats = network.stats
-        latency = network.latency_s
-        now = sim.now
-        tx_cost = src_host.tx_cpu_cost_s
-        bw = src_host.bandwidth_bps
-        last = len(wire_sizes) - 1
-        for i, size in enumerate(wire_sizes):
-            free = src_host.tx_cpu_free_at
-            tx_ready = (now if now > free else free) + tx_cost
-            src_host.tx_cpu_free_at = tx_ready
-            free = src_host.egress_free_at
-            tx_start = tx_ready if tx_ready > free else free
-            serialization = (size + self.SKEW_BYTES) * 8.0 / bw  # the bug
-            src_host.egress_free_at = tx_start + serialization
-            stats.bytes_sent[src] += size
-            stats.packets_sent[src] += 1
-            if flow:
-                stats.flow_bytes[flow] += size
-            wire_arrival = tx_start + serialization + latency
-            packet = (
-                Packet(src, dst, payload, size, dst_port, flow)
-                if i == last
-                else None
-            )
-            sim.call_at(wire_arrival, self._arrive, dst_host, size, packet)
-
-
-class FlowSerializationSkewCollective(Collective):
-    """Wraps any FlowTransport-based collective; flow-mode runs get the
-    off-by-one-block serialization delay.  Packet mode is untouched."""
-
-    def __init__(self, inner: Collective) -> None:
-        self.inner = inner
-        self.name = f"{inner.name}+flow-serialization-skew"
-        self.options_cls: Type[Options] = inner.options_cls
-        self.summary = (
-            "test-only mutant: flow serialization delay off by one block"
-        )
-
-    def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
-        if _is_flow(options):
-            view = flow_view(cluster)
-            view.transport = _SkewedFlowTransport(view.transport.inner)
-            cluster = view  # flow_view() downstream is idempotent
-        return self.inner.prepare(cluster, options)
-
-
-class _ZeroBillSession(_WrappedSession):
-    """Delegates to the real session, then bills the suppressed blocks."""
-
-    #: Wire bytes charged per phantom zero block (any nonzero amount
-    #: breaks the differential's exact counter equality).
-    BILL_BYTES = 256
-
-    def _alter(self, result: CollectiveResult) -> CollectiveResult:
-        suppressed = int(result.details.get("zero_blocks_suppressed", 0))
-        result.bytes_sent += suppressed * self.BILL_BYTES
-        result.packets_sent += suppressed
-        result.upward_bytes += suppressed * self.BILL_BYTES
-        return result
-
-
-class FlowZeroBillCollective(Collective):
-    """OmniReduce whose flow mode bills suppressed zero blocks on the wire.
-
-    The data plane still skips them (tensors and times stay perfect);
-    only the packet-vs-flow counter diff can tell.
-    """
-
-    def __init__(self, inner: Collective) -> None:
-        if not inner.name.startswith("omnireduce"):
-            raise ValueError(
-                "flow-zero-bill only makes sense wrapping omnireduce "
-                f"(it bills the suppressed-block count), got {inner.name!r}"
-            )
-        self.inner = inner
-        self.name = f"{inner.name}+flow-zero-bill"
-        self.options_cls = inner.options_cls
-        self.summary = "test-only mutant: bills suppressed zero blocks"
-
-    def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
+            options = self.inner.default_options()
+        if mutant.flow_only and options.sim_mode != "flow":
+            return self.inner.prepare(cluster, options)
+        if mutant.options is not None:
+            options = mutant.options(options)
+        if mutant.cluster is not None:
+            cluster = mutant.cluster(cluster)
         session = self.inner.prepare(cluster, options)
-        if _is_flow(options):
-            return _ZeroBillSession(session)
+        if mutant.result is not None:
+            # Every blocking and non-blocking AllReduce goes through submit.
+            submit, hook = session.submit, mutant.result
+            session.submit = lambda tensors, **kwargs: submit(tensors, **kwargs).map(
+                lambda result: hook(session, tensors, result)
+            )
         return session
 
 
-class TopologySkewCollective(Collective):
-    """Flow mode misprices every rack uplink at half its capacity.
-
-    Packet mode books the true topology, so results and counters stay
-    perfect on both sides -- but the flow timeline stretches wherever
-    cross-rack traffic queues on an uplink.  Only the differential's
-    completion-time check over a *tiered* case can see it; the mutant
-    refuses flat cases, where it would be a silent no-op.
-    """
-
-    #: Capacity factor applied to each uplink pipe in flow mode.
-    SKEW = 0.5
-
-    def __init__(self, inner: Collective) -> None:
-        self.inner = inner
-        self.name = f"{inner.name}+topology-skew"
-        self.options_cls: Type[Options] = inner.options_cls
-        self.summary = "test-only mutant: flow mode halves uplink capacity"
-
-    def prepare(self, cluster: Cluster, options: Optional[Options] = None) -> Session:
-        if _is_flow(options):
-            base = getattr(cluster, "flow_base", cluster)
-            topology = base.network.topology
-            if topology is None:
-                raise ValueError(
-                    "topology-skew misprices rack uplinks; run it on a "
-                    "case with a tiered topology"
-                )
-            for pipe in topology._uplinks.values():
-                pipe.rate_bps *= self.SKEW
-        return self.inner.prepare(cluster, options)
+def _corrupt(result: CollectiveResult, amount: float) -> CollectiveResult:
+    # One element on one worker: breaks the oracle check on worker 0
+    # and the agreement check between workers.
+    result.outputs[0] = result.outputs[0].copy()
+    result.outputs[0][0] += amount
+    return result
 
 
-#: mutant name -> wrapper class applied to the case's base collective.
-MUTANTS: Dict[str, Type[Collective]] = {
-    "broken-result": BrokenResultCollective,
-    "fusion-off-corrupts": FusionOffCorruptsCollective,
-    "zero-block-spam": ZeroBlockSpamCollective,
-    "flow-serialization-skew": FlowSerializationSkewCollective,
-    "flow-zero-bill": FlowZeroBillCollective,
-    "topology-skew": TopologySkewCollective,
-}
+def _broken_result(session, tensors, result):
+    return _corrupt(result, CORRUPTION)
+
+
+def _fusion_off_corrupts(session, tensors, result):
+    if session.features is None:
+        raise MutantRefused(
+            "fusion-off-corrupts needs a run with a protocol feature set"
+        )
+    if session.features.enabled("fusion"):
+        return result
+    return _corrupt(result, FUSION_OFF_CORRUPTION)
+
+
+def _spam_options(options: Options) -> Options:
+    if not isinstance(options, OmniReduceOptions):
+        raise MutantRefused(
+            "zero-block-spam switches off OmniReduce's zero-block "
+            f"suppression; got {type(options).__name__}"
+        )
+    features = options.features or (options.config or OmniReduceConfig()).features
+    suppress = features.zero_block_suppression and not SPAM_ZERO_BLOCKS
+    return replace(options, features=features.with_(zero_block_suppression=suppress))
+
+
+def _spam_needs_zero_block(session, tensors, result):
+    size = session.engine.config.block_size
+    if all(
+        np.logical_or.reduceat(np.ravel(t) != 0, np.arange(0, np.size(t), size)).all()
+        for t in tensors
+    ):
+        raise MutantRefused("zero-block-spam: no worker holds a zero block")
+    return result
+
+
+class _SkewedSends:
+    """The run's network as the flow transport sees it: each send is
+    booked by :meth:`~repro.netsim.network.Network.book_send`, then
+    holds the egress link ``SKEW_BYTES`` longer and arrives that much
+    later.  Billing stays exact; only the timeline drifts."""
+
+    def __init__(self, network) -> None:
+        self.network = network
+        self.sends = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self.network, name)
+
+    def book_send(self, src, dst: str, size: int, flow: str) -> float:
+        self.sends += 1
+        arrival = self.network.book_send(src, dst, size, flow)
+        skew = SKEW_BYTES * 8.0 / src.bandwidth_bps
+        src.egress_free_at += skew
+        return arrival + skew
+
+
+def _skew_transport(cluster: Cluster):
+    view = flow_view(cluster)  # the engines' own flow_view() returns it
+    view.transport.network = _SkewedSends(view.transport.network)
+    return view
+
+
+def _skew_needs_sends(session, tensors, result):
+    if not session.cluster.transport.network.sends:
+        raise MutantRefused(
+            "flow-serialization-skew: this flow engine books analytically "
+            "and never sends through the flow transport"
+        )
+    return result
+
+
+def _bill_zero_blocks(session, tensors, result):
+    suppressed = int(result.details.get("zero_blocks_suppressed", 0))
+    if not suppressed:
+        raise MutantRefused("flow-zero-bill: the run suppressed no zero block")
+    result.bytes_sent += suppressed * BILL_BYTES
+    result.packets_sent += suppressed if BILL_BYTES else 0
+    result.upward_bytes += suppressed * BILL_BYTES
+    return result
+
+
+def _skew_uplinks(cluster: Cluster) -> Cluster:
+    topology = cluster.network.topology
+    if topology is None:
+        raise MutantRefused(
+            "topology-skew misprices rack uplinks; run it on a case with "
+            "a tiered topology"
+        )
+    for pipe in topology._uplinks.values():
+        pipe.rate_bps *= UPLINK_SKEW
+    return cluster
+
+
+_MUTANTS = (
+    Mutant(
+        ConformanceCase(mutant="broken-result"),
+        kill="oracle",
+        size="CORRUPTION",
+        neutral=0.0,
+        summary="corrupts one output element",
+        result=_broken_result,
+    ),
+    Mutant(
+        ConformanceCase(
+            mutant="fusion-off-corrupts",
+            features=ProtocolFeatures().disable("fusion"),
+        ),
+        kill="oracle",
+        size="FUSION_OFF_CORRUPTION",
+        neutral=0.0,
+        summary="corrupts one output element when fusion is off",
+        result=_fusion_off_corrupts,
+    ),
+    Mutant(
+        ConformanceCase(mutant="zero-block-spam"),
+        kill="no-zero-block",
+        size="SPAM_ZERO_BLOCKS",
+        neutral=False,
+        summary="transmits zero blocks",
+        options=_spam_options,
+        result=_spam_needs_zero_block,
+    ),
+    Mutant(
+        ConformanceCase(algorithm="ring", mutant="flow-serialization-skew"),
+        kill="differential:time",
+        size="SKEW_BYTES",
+        neutral=0,
+        summary="flow serialization delay off by one block",
+        flow_only=True,
+        cluster=_skew_transport,
+        result=_skew_needs_sends,
+    ),
+    Mutant(
+        ConformanceCase(mutant="flow-zero-bill"),
+        kill="differential:counters",
+        size="BILL_BYTES",
+        neutral=0,
+        summary="flow mode bills suppressed zero blocks",
+        flow_only=True,
+        result=_bill_zero_blocks,
+    ),
+    Mutant(
+        ConformanceCase(
+            algorithm="rackhier", topology="fat-tree-2x", mutant="topology-skew"
+        ),
+        kill="differential:time",
+        size="UPLINK_SKEW",
+        neutral=1.0,
+        summary="flow mode halves rack uplink capacity",
+        flow_only=True,
+        cluster=_skew_uplinks,
+    ),
+)
+
+#: mutant name -> :class:`Mutant`, called on the case's base collective.
+MUTANTS: Dict[str, Mutant] = {m.target.mutant: m for m in _MUTANTS}

@@ -50,12 +50,18 @@ class ReproSpec:
     def to_snippet(self) -> str:
         """A standalone one-command repro: run from the repo root."""
         problem_lines = "".join(f"#   {p}\n" for p in self.problems[:6])
+        features_import = (
+            "from repro.core.features import ProtocolFeatures\n"
+            if self.case.features is not None
+            else ""
+        )
         return (
             "# Conformance failure repro (auto-minimized). Run from the repo root:\n"
             "#   PYTHONPATH=src python repro_case.py\n"
             "# Observed problems:\n"
             f"{problem_lines}"
             "from repro.conformance import ConformanceCase, run_case\n"
+            f"{features_import}"
             "\n"
             f"report = run_case({self.constructor_source()})\n"
             "print(report.summary())\n"

@@ -24,7 +24,7 @@ the shared axes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -321,6 +321,17 @@ class CaseReport:
     @property
     def ok(self) -> bool:
         return not (self.oracle_problems or self.counter_problems or self.violations)
+
+    @property
+    def checks(self) -> Set[str]:
+        """The checks that fired: ``oracle``, ``counters`` and the
+        names of the monitors that reported violations."""
+        fired = {v.monitor for v in self.violations}
+        if self.oracle_problems:
+            fired.add("oracle")
+        if self.counter_problems:
+            fired.add("counters")
+        return fired
 
     def problems(self) -> List[str]:
         return (

@@ -336,11 +336,9 @@ _events_total = 0
 def events_total() -> int:
     """Total simulation events executed in this process.
 
-    The counter aggregates every :class:`Simulator`'s executed steps when
-    its :meth:`Simulator.run` returns, so perfledger's workloads can count
-    the events of an operation that creates many simulators.
-    (Steps driven manually via :meth:`Simulator.step` outside ``run`` are
-    counted the next time that simulator's ``run`` finishes.)
+    The counter aggregates every :class:`Simulator`'s executed events
+    when its :meth:`Simulator.run` returns, so perfledger's workloads can
+    count the events of an operation that creates many simulators.
     """
     return _events_total
 
@@ -350,7 +348,7 @@ class Simulator:
 
     Scheduled callbacks live in two structures sharing one sequence-number
     space: a binary heap for future times and a FIFO deque (``_ready``)
-    for callbacks at the current time.  :meth:`step` always executes the
+    for callbacks at the current time.  :meth:`run` always executes the
     globally smallest ``(time, seq)`` entry, so the split is invisible to
     protocol code -- it exists purely to keep same-time wakeups (the
     overwhelmingly common case: packet hand-offs, event triggers) off the
@@ -469,48 +467,6 @@ class Simulator:
 
     # -- main loop --------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next scheduled callback.  Returns False when idle.
-
-        "Next" means the globally smallest ``(time, seq)`` over both the
-        heap and the ready deque; ready entries are always at the current
-        time, so the heap only wins a tie-break when it holds an entry
-        scheduled at ``now`` *before* the ready entry was.
-        """
-        heap = self._heap
-        ready = self._ready
-        while True:
-            # Surface a live heap head so the tie-break below sees it.
-            while heap and heap[0][2] is None:
-                heapq.heappop(heap)
-                if self._dead:
-                    self._dead -= 1
-            if ready:
-                if heap and heap[0][0] == self.now and heap[0][1] < ready[0][1]:
-                    entry = heapq.heappop(heap)
-                else:
-                    entry = ready.popleft()
-                    if entry[2] is None:  # cancelled same-time callback
-                        if self._dead:
-                            self._dead -= 1
-                        continue
-            elif heap:
-                entry = heapq.heappop(heap)
-            else:
-                return False
-            break
-        time, _seq, fn, args = entry
-        self._live_callbacks -= 1
-        self.now = time
-        self.events_executed += 1
-        if self._step_observers:
-            for observer in self._step_observers:
-                observer(time)
-        entry[2] = None
-        entry[3] = ()
-        fn(*args)
-        return True
-
     def run(self, until: Optional[Event] = None, max_time: float = float("inf")) -> Any:
         """Run until ``until`` fires, the clock passes ``max_time``, or the
         event heap drains.
@@ -543,9 +499,12 @@ class Simulator:
                         return None
                 elif heap[0][0] > max_time:
                     return None
-                # Inlined :meth:`step` (same selection logic, minus the
-                # per-event method call): this loop runs once per
-                # simulation event, millions of times per experiment.
+                # Execute the globally smallest ``(time, seq)`` entry.
+                # Ready entries are always at the current time, so the
+                # heap only wins a tie-break when it holds an entry
+                # scheduled at ``now`` before the ready one was.  This
+                # loop runs once per simulation event, millions of times
+                # per experiment.
                 while True:
                     while heap and heap[0][2] is None:
                         heappop(heap)

@@ -131,15 +131,25 @@ def test_conformance_experiment_registered():
 def test_conformance_experiment_all_pass_and_mutants_caught():
     result = EXPERIMENTS["conformance"]()
     statuses = {row["algorithm"]: row["status"] for row in result.rows}
-    # One row per registry algorithm plus the two mutant rows.
+    # One row per registry algorithm plus one row per mutant.
     from repro.baselines.registry import ALGORITHMS
+    from repro.conformance import MUTANTS
 
     for name in ALGORITHMS:
         assert statuses[name] == "PASS"
-    assert statuses["mutant:broken-result"] == "PASS"
-    assert statuses["mutant:zero-block-spam"] == "PASS"
     mutant_rows = [r for r in result.rows if r["algorithm"].startswith("mutant:")]
+    assert [r["algorithm"] for r in mutant_rows] == [
+        f"mutant:{name}" for name in MUTANTS
+    ]
     assert all(r["oracle_ok"] == "caught" for r in mutant_rows)
-    # The notes carry a minimized seed-replay for each mutant.
+    assert all(r["status"] == "PASS" for r in mutant_rows)
+    # The notes name each mutant's declared check as the one that fired,
+    # and carry a minimized seed-replay for each single-mode mutant.
+    for name, mutant in MUTANTS.items():
+        assert any(
+            n.startswith(f"mutant {name} on ")
+            and n.endswith(f"declared {mutant.kill}, fired {mutant.kill}")
+            for n in result.notes
+        ), name
     minimized = [n for n in result.notes if "minimized to ConformanceCase(" in n]
-    assert len(minimized) == 2
+    assert len(minimized) == 3

@@ -3,9 +3,9 @@
 Every registry algorithm must pass :func:`run_differential`:
 bit-identical tensors, exactly equal wire counters, completion time
 within the documented tolerance.  Unsupported axes must be *refused*
-(silently producing numbers would be worse than failing), and the
-flow-only mutants prove the differential can actually catch both
-failure modes it exists for -- wrong timing and wrong billing.
+(silently producing numbers would be worse than failing).  The
+flow-only mutants that prove the differential catches wrong timing and
+wrong billing run in the kill matrix (``test_mutants.py``).
 """
 
 import pytest
@@ -80,30 +80,3 @@ def test_smoke_matrix_is_flow_capable_and_covers_every_algorithm():
     assert all(flow_capable(c) is None for c in cases if c.topology == "flat")
     assert refusals, "smoke matrix lost its topology-refusal row"
     assert all(c.topology != "flat" for c in refusals)
-
-
-def test_flow_serialization_skew_mutant_is_caught():
-    report = run_differential(
-        ConformanceCase(algorithm="ring", mutant="flow-serialization-skew")
-    )
-    assert not report.ok
-    assert any("time_s differs" in p for p in report.problems)
-
-
-def test_flow_zero_bill_mutant_is_caught():
-    report = run_differential(
-        ConformanceCase(algorithm="omnireduce", mutant="flow-zero-bill")
-    )
-    assert not report.ok
-    assert any("bytes_sent differs" in p for p in report.problems)
-
-
-def test_flow_mutants_do_not_corrupt_packet_mode():
-    from repro.conformance import run_case
-
-    for algorithm, mutant in (
-        ("ring", "flow-serialization-skew"),
-        ("omnireduce", "flow-zero-bill"),
-    ):
-        report = run_case(ConformanceCase(algorithm=algorithm, mutant=mutant))
-        assert report.ok, report.summary()

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.conformance import (
+    MUTANTS,
     ConformanceCase,
     ReproSpec,
     minimize_case,
@@ -49,17 +50,6 @@ def test_broken_result_mutant_is_caught_and_minimized():
     assert not run_spec(spec).ok
 
 
-@pytest.mark.conformance
-def test_zero_block_spam_mutant_caught_only_by_monitor():
-    case = ConformanceCase(algorithm="omnireduce", mutant="zero-block-spam")
-    report = run_case(case)
-    assert not report.ok
-    # Results are numerically perfect; the invariant monitor is the
-    # only thing standing between this mutant and a green build.
-    assert report.oracle_problems == []
-    assert any(v.monitor == "no-zero-block" for v in report.violations)
-
-
 def test_repro_snippet_contains_constructor_and_assertion():
     spec = ReproSpec(
         case=ConformanceCase(workers=2, elements=64, block_size=16, mutant="broken-result"),
@@ -82,6 +72,22 @@ def test_repro_snippet_executes_standalone():
         ConformanceCase(algorithm="omnireduce", mutant="broken-result"),
         max_runs=12,
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", spec.to_snippet()],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" in proc.stdout
+
+
+@pytest.mark.conformance
+def test_repro_snippet_with_features_executes_standalone():
+    """A case with a feature set replays too: the snippet imports
+    ``ProtocolFeatures`` for the constructor it prints."""
+    spec = minimize_case(MUTANTS["fusion-off-corrupts"].target, max_runs=4)
+    assert "features=ProtocolFeatures(" in spec.to_snippet()
     proc = subprocess.run(
         [sys.executable, "-c", spec.to_snippet()],
         capture_output=True,

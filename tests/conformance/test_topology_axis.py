@@ -1,12 +1,13 @@
-"""The conformance topology axis and its differential/mutant coverage.
+"""The conformance topology axis and its differential coverage.
 
 Cases carry a ``topology`` field naming an entry of
 :data:`repro.conformance.runner.TOPOLOGIES`; tiered cases build a fresh
 oversubscribed fabric per run.  The packet-vs-flow differential must
 hold through shared uplink/spine pipes for the collectives that replay
 them (FlowTransport baselines and the rack-hierarchical engine), flat
-OmniReduce must *refuse* tiered cases, and the ``topology-skew`` mutant
-proves the differential actually watches the pipes.
+OmniReduce must *refuse* tiered cases.  The ``topology-skew`` mutant,
+which proves the differential watches the pipes, runs in the kill
+matrix (``test_mutants.py``).
 """
 
 import pytest
@@ -88,35 +89,6 @@ def test_flat_engines_refuse_tiered_topologies(algorithm):
     report = run_differential(case)
     # Passes *because* flow mode raised FlowUnsupported.
     assert report.unsupported is not None
-    assert report.ok, report.summary()
-
-
-@pytest.mark.parametrize("algorithm", ["rackhier", "ring"])
-def test_topology_skew_mutant_is_caught(algorithm):
-    report = run_differential(
-        ConformanceCase(
-            algorithm=algorithm, topology="fat-tree-2x", mutant="topology-skew"
-        )
-    )
-    assert not report.ok
-    assert any("time_s differs" in p for p in report.problems)
-
-
-def test_topology_skew_mutant_refuses_flat_cases():
-    """On a flat fabric the mutant would be a silent no-op; it must
-    refuse instead of green-washing the differential."""
-    with pytest.raises(ValueError, match="tiered topology"):
-        run_differential(
-            ConformanceCase(algorithm="rackhier", mutant="topology-skew")
-        )
-
-
-def test_topology_skew_mutant_does_not_corrupt_packet_mode():
-    report = run_case(
-        ConformanceCase(
-            algorithm="rackhier", topology="fat-tree-2x", mutant="topology-skew"
-        )
-    )
     assert report.ok, report.summary()
 
 
